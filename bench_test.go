@@ -216,7 +216,9 @@ func BenchmarkBoydTick2048(b *testing.B) {
 	// One benchmark iteration = one full bounded run amortized: use ticks
 	// as the unit by running MaxTicks = b.N once.
 	res, err := gossip.RunBoyd(g, x, gossip.Options{
-		Stop: sim.StopRule{MaxTicks: uint64(b.N)},
+		RunEnv: sim.RunEnv{
+			Stop: sim.StopRule{MaxTicks: uint64(b.N)},
+		},
 	}, r)
 	if err != nil {
 		b.Fatal(err)
@@ -236,8 +238,10 @@ func benchBoydMedium(b *testing.B, faults channel.Spec) {
 	}
 	b.ResetTimer()
 	if _, err := gossip.RunBoyd(g, x, gossip.Options{
-		Stop:   sim.StopRule{MaxTicks: uint64(b.N)},
-		Faults: faults,
+		RunEnv: sim.RunEnv{
+			Stop:   sim.StopRule{MaxTicks: uint64(b.N)},
+			Faults: faults,
+		},
 	}, r); err != nil {
 		b.Fatal(err)
 	}
@@ -279,7 +283,7 @@ func BenchmarkAffineRecursive2048(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		x := append([]float64(nil), base...)
-		res, err := core.RunRecursive(g, h, x, core.RecursiveOptions{Eps: 1e-2}, rng.New(7))
+		res, err := core.RunRecursive(g, h, x, core.RecursiveOptions{RunEnv: sim.RunEnv{Stop: sim.StopRule{TargetErr: 1e-2}}}, rng.New(7))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -312,8 +316,10 @@ func BenchmarkAsyncLargeLeaf4096(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		x := append([]float64(nil), base...)
 		res, err := core.RunAsync(g, h, x, core.AsyncOptions{
+			RunEnv: sim.RunEnv{
+				Stop: sim.StopRule{TargetErr: 1e-3, MaxTicks: 500_000},
+			},
 			LeafTicks: 8,
-			Stop:      sim.StopRule{TargetErr: 1e-3, MaxTicks: 500_000},
 		}, rng.New(9))
 		if err != nil {
 			b.Fatal(err)
@@ -343,7 +349,9 @@ func BenchmarkAsyncRun2048(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		x := append([]float64(nil), base...)
 		res, err := core.RunAsync(g, h, x, core.AsyncOptions{
-			Stop: sim.StopRule{TargetErr: 1e-2, MaxTicks: 2_000_000},
+			RunEnv: sim.RunEnv{
+				Stop: sim.StopRule{TargetErr: 1e-2, MaxTicks: 2_000_000},
+			},
 		}, rng.New(9))
 		if err != nil {
 			b.Fatal(err)

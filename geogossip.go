@@ -54,7 +54,7 @@ import (
 	"maps"
 
 	"geogossip/internal/channel"
-	"geogossip/internal/core"
+	"geogossip/internal/engine"
 	"geogossip/internal/gossip"
 	"geogossip/internal/graph"
 	"geogossip/internal/hier"
@@ -478,9 +478,10 @@ func WithRecovery() RunOption {
 // off by default, which keeps every historical fingerprint byte-identical.
 //
 // Engine support: Boyd and PushSum shard their tick loops and require
-// the perfect medium (no loss, faults, recovery or tracing); AffineAsync
-// shards its recovery sweep and requires WithRecovery; Geographic and
-// AffineHierarchical reject the option (their exchanges are global).
+// the perfect medium and no tracing (Boyd also no WithRecovery);
+// AffineAsync shards its recovery sweep and requires WithRecovery;
+// Geographic and AffineHierarchical reject the option (their exchanges
+// are global). Run reports a conflict before any engine starts.
 func WithParallel(shards, workers int) RunOption {
 	return func(c *runConfig) {
 		p := sim.Parallel{Shards: shards, Workers: workers}
@@ -503,13 +504,6 @@ func WithParallel(shards, workers int) RunOption {
 // an error.
 func WithChurn(meanUp, meanDown float64) RunOption {
 	return func(c *runConfig) { c.churnUp, c.churnDown, c.churnSet = meanUp, meanDown, true }
-}
-
-// WithTraceWriter streams structured protocol events to w as they
-// happen: long-range exchanges, round activations and packet losses for
-// the affine algorithms; packet losses for the baselines.
-func WithTraceWriter(w io.Writer) RunOption {
-	return func(c *runConfig) { c.tracer = &trace.Writer{W: w} }
 }
 
 // WithTraceJSONL streams the run's protocol events to w as JSON Lines —
@@ -579,15 +573,8 @@ func (c runConfig) engineFaults() (channel.Spec, error) {
 	if err != nil {
 		return spec, fmt.Errorf("geogossip: WithFaults: %w", err)
 	}
-	if c.lossRate != 0 {
-		if c.lossRate < 0 || c.lossRate > 1 {
-			return spec, fmt.Errorf("geogossip: loss rate %v outside [0, 1]", c.lossRate)
-		}
-		if spec.Loss != channel.LossNone {
-			return spec, fmt.Errorf("geogossip: WithLossRate combined with a WithFaults loss model")
-		}
-		spec.Loss = channel.LossBernoulli
-		spec.LossRate = c.lossRate
+	if spec, err = spec.WithLossRate(c.lossRate); err != nil {
+		return spec, fmt.Errorf("geogossip: WithLossRate: %w", err)
 	}
 	if c.delay != "" {
 		d, err := channel.Parse("delay:" + c.delay)
@@ -623,166 +610,101 @@ func (c runConfig) engineFaults() (channel.Spec, error) {
 	return spec, nil
 }
 
-type boydAlgo struct{ cfg runConfig }
-
-// Boyd returns randomized nearest-neighbour gossip (Boyd et al.).
-func Boyd(opts ...RunOption) Algorithm { return boydAlgo{newRunConfig(opts)} }
-
-func (a boydAlgo) Name() string { return "boyd" }
-
-func (a boydAlgo) Run(nw *Network, values []float64) (*Result, error) {
-	faults, err := a.cfg.validate()
-	if err != nil {
-		return nil, err
+// checkParallel enforces the engine table's WithParallel requirements
+// up front, naming the options that conflict.
+func (c runConfig) checkParallel(e *engine.Engine, faults channel.Spec) error {
+	if !c.parallel.Enabled() {
+		return nil
 	}
-	reg := obs.NewRegistry()
-	res, err := gossip.RunBoyd(nw.g, values, gossip.Options{
-		Stop:     sim.StopRule{TargetErr: a.cfg.targetErr, MaxTicks: a.cfg.maxTicks},
-		Faults:   faults,
-		Resync:   a.cfg.recover,
-		Parallel: a.cfg.parallel,
-		Tracer:   a.cfg.tracer,
-		Obs:      reg.Scope(a.Name()),
-	}, rng.New(a.cfg.seed))
-	if err != nil {
-		return nil, err
+	req := e.Parallel
+	switch {
+	case !req.Supported:
+		return fmt.Errorf("geogossip: WithParallel is not supported by %s (its exchanges are global)", e.Name)
+	case req.NeedsRecover && !c.recover:
+		return fmt.Errorf("geogossip: WithParallel on %s shards the recovery sweep and requires WithRecovery", e.Name)
+	case req.NoRecover && c.recover:
+		return fmt.Errorf("geogossip: WithParallel on %s cannot be combined with WithRecovery", e.Name)
+	case req.NoTracer && c.tracer != nil:
+		return fmt.Errorf("geogossip: WithParallel on %s cannot be combined with WithTraceJSONL (event order is schedule-dependent)", e.Name)
+	case req.PerfectMedium && faults.HasTransport():
+		return fmt.Errorf("geogossip: WithParallel on %s cannot be combined with a transport layer (WithDelay, WithARQ or a transport WithFaults component)", e.Name)
+	case req.PerfectMedium && !faults.IsZero():
+		return fmt.Errorf("geogossip: WithParallel on %s requires the perfect medium (no WithLossRate, WithFaults or WithChurn)", e.Name)
 	}
-	return fromMetrics(res, reg), nil
+	return nil
 }
 
-type geoAlgo struct{ cfg runConfig }
+// engineAlgo is an Algorithm backed by one engine-table entry.
+type engineAlgo struct {
+	eng *engine.Engine
+	cfg runConfig
+}
+
+func newAlgorithm(name string, opts []RunOption) Algorithm {
+	eng, _ := engine.Lookup(name)
+	return engineAlgo{eng, newRunConfig(opts)}
+}
+
+// Boyd returns randomized nearest-neighbour gossip (Boyd et al.).
+func Boyd(opts ...RunOption) Algorithm { return newAlgorithm(engine.Boyd, opts) }
 
 // Geographic returns geographic gossip (Dimakis et al.) with rejection
 // sampling (or uniform sampling via WithUniformSampling).
-func Geographic(opts ...RunOption) Algorithm { return geoAlgo{newRunConfig(opts)} }
-
-func (a geoAlgo) Name() string { return "geographic" }
-
-func (a geoAlgo) Run(nw *Network, values []float64) (*Result, error) {
-	faults, err := a.cfg.validate()
-	if err != nil {
-		return nil, err
-	}
-	reg := obs.NewRegistry()
-	res, err := gossip.RunGeographic(nw.g, values, gossip.GeoOptions{
-		Options: gossip.Options{
-			Stop:     sim.StopRule{TargetErr: a.cfg.targetErr, MaxTicks: a.cfg.maxTicks},
-			Faults:   faults,
-			Resync:   a.cfg.recover,
-			Parallel: a.cfg.parallel,
-			Tracer:   a.cfg.tracer,
-			Obs:      reg.Scope(a.Name()),
-		},
-		Sampling: a.cfg.sampling,
-	}, rng.New(a.cfg.seed))
-	if err != nil {
-		return nil, err
-	}
-	return fromMetrics(res, reg), nil
-}
-
-type affineAlgo struct{ cfg runConfig }
+func Geographic(opts ...RunOption) Algorithm { return newAlgorithm(engine.Geographic, opts) }
 
 // AffineHierarchical returns the paper's algorithm in its round-structured
 // form (§3): recursive square averaging with non-convex affine long-range
 // exchanges.
-func AffineHierarchical(opts ...RunOption) Algorithm { return affineAlgo{newRunConfig(opts)} }
-
-func (a affineAlgo) Name() string { return "affine-hierarchical" }
-
-func (a affineAlgo) Run(nw *Network, values []float64) (*Result, error) {
-	faults, err := a.cfg.validate()
-	if err != nil {
-		return nil, err
-	}
-	if a.cfg.parallel.Enabled() {
-		return nil, fmt.Errorf("geogossip: WithParallel is not supported by %s (round-structured exchanges are global)", a.Name())
-	}
-	reg := obs.NewRegistry()
-	res, err := core.RunRecursive(nw.g, nw.h, values, core.RecursiveOptions{
-		Eps:     a.cfg.targetErr,
-		Beta:    a.cfg.beta,
-		Faults:  faults,
-		Recover: a.cfg.recover,
-		Tracer:  a.cfg.tracer,
-		Obs:     reg.Scope(a.Name()),
-	}, rng.New(a.cfg.seed))
-	if err != nil {
-		return nil, err
-	}
-	return fromMetrics(res.Result, reg), nil
-}
-
-type asyncAlgo struct{ cfg runConfig }
+func AffineHierarchical(opts ...RunOption) Algorithm { return newAlgorithm(engine.Affine, opts) }
 
 // AffineAsync returns the paper's algorithm as the faithful event-driven
 // §4 protocol (per-node Poisson clocks, on/off control, counters).
-func AffineAsync(opts ...RunOption) Algorithm { return asyncAlgo{newRunConfig(opts)} }
-
-func (a asyncAlgo) Name() string { return "affine-async" }
-
-func (a asyncAlgo) Run(nw *Network, values []float64) (*Result, error) {
-	faults, err := a.cfg.validate()
-	if err != nil {
-		return nil, err
-	}
-	reg := obs.NewRegistry()
-	res, err := core.RunAsync(nw.g, nw.h, values, core.AsyncOptions{
-		Eps:          a.cfg.targetErr,
-		Beta:         a.cfg.beta,
-		Throttle:     a.cfg.throttle,
-		RoundsFactor: 2,
-		Faults:       faults,
-		Recover:      a.cfg.recover,
-		Parallel:     a.cfg.parallel,
-		Tracer:       a.cfg.tracer,
-		Obs:          reg.Scope(a.Name()),
-		Stop:         sim.StopRule{TargetErr: a.cfg.targetErr, MaxTicks: a.cfg.maxTicks},
-	}, rng.New(a.cfg.seed))
-	if err != nil {
-		return nil, err
-	}
-	return fromMetrics(res.Result, reg), nil
-}
-
-type pushSumAlgo struct{ cfg runConfig }
+func AffineAsync(opts ...RunOption) Algorithm { return newAlgorithm(engine.Async, opts) }
 
 // PushSum returns asynchronous push-sum averaging (Kempe–Dobra–Gehrke,
 // FOCS 2003): one one-way message per exchange. Under faults, lost
 // pushes roll back at the sender (mass-conservation bookkeeping), so
 // the Σs and Σw invariants — and with them the consensus target — hold
 // under arbitrary loss and churn; see the examples/churn scenario.
-func PushSum(opts ...RunOption) Algorithm { return pushSumAlgo{newRunConfig(opts)} }
+func PushSum(opts ...RunOption) Algorithm { return newAlgorithm(engine.PushSum, opts) }
 
-func (a pushSumAlgo) Name() string { return "push-sum" }
+// AlgorithmNames lists the algorithm names in engine-table order: the
+// Name of each constructor's Algorithm and the spellings
+// SweepSpec.Algorithms accepts.
+func AlgorithmNames() []string { return engine.Names() }
 
-func (a pushSumAlgo) Run(nw *Network, values []float64) (*Result, error) {
+func (a engineAlgo) Name() string { return a.eng.Name }
+
+func (a engineAlgo) Run(nw *Network, values []float64) (*Result, error) {
 	faults, err := a.cfg.validate()
 	if err != nil {
 		return nil, err
 	}
+	if err := a.cfg.checkParallel(a.eng, faults); err != nil {
+		return nil, err
+	}
 	reg := obs.NewRegistry()
-	res, err := gossip.RunPushSum(nw.g, values, gossip.Options{
-		Stop:     sim.StopRule{TargetErr: a.cfg.targetErr, MaxTicks: a.cfg.maxTicks},
-		Faults:   faults,
-		Parallel: a.cfg.parallel,
-		Tracer:   a.cfg.tracer,
-		Obs:      reg.Scope(a.Name()),
-	}, rng.New(a.cfg.seed))
+	res, err := a.eng.Run(engine.Input{
+		G: nw.g,
+		H: nw.h,
+		X: values,
+		Env: sim.RunEnv{
+			Stop:     sim.StopRule{TargetErr: a.cfg.targetErr, MaxTicks: a.cfg.maxTicks},
+			Faults:   faults,
+			Recover:  a.cfg.recover,
+			Parallel: a.cfg.parallel,
+			Tracer:   a.cfg.tracer,
+			Obs:      reg.Scope(a.eng.Name),
+		},
+		Knobs:  engine.Knobs{Beta: a.cfg.beta, Sampling: a.cfg.sampling, Throttle: a.cfg.throttle},
+		States: &engine.States{},
+		RNG:    rng.New(a.cfg.seed),
+	})
 	if err != nil {
 		return nil, err
 	}
-	return fromMetrics(res, reg), nil
+	return fromMetrics(res.Result, reg), nil
 }
-
-// Compile-time interface checks.
-var (
-	_ Algorithm = boydAlgo{}
-	_ Algorithm = geoAlgo{}
-	_ Algorithm = affineAlgo{}
-	_ Algorithm = asyncAlgo{}
-	_ Algorithm = pushSumAlgo{}
-)
 
 // Mean returns the arithmetic mean of values (the consensus target), or 0
 // for an empty slice.

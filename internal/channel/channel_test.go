@@ -308,6 +308,30 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
+func TestSpecWithLossRate(t *testing.T) {
+	churn := Spec{Churn: ChurnParams{MeanUp: 100}}
+	got, err := churn.WithLossRate(0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Spec{Loss: LossBernoulli, LossRate: 0.2, Churn: ChurnParams{MeanUp: 100}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("folded spec = %+v, want %+v", got, want)
+	}
+	if got, err := churn.WithLossRate(0); err != nil || !reflect.DeepEqual(got, churn) {
+		t.Fatalf("zero rate changed the spec: %+v, %v", got, err)
+	}
+	for _, bad := range []float64{-0.1, 1.5} {
+		if _, err := (Spec{}).WithLossRate(bad); err == nil {
+			t.Fatalf("loss rate %v accepted", bad)
+		}
+	}
+	ge := Spec{Loss: LossGilbertElliott, GE: GEParams{PGoodToBad: 0.1, PBadToGood: 0.3, LossBad: 0.5}}
+	if _, err := ge.WithLossRate(0.1); err == nil {
+		t.Fatal("loss rate folded over an existing loss model")
+	}
+}
+
 func TestSpecBuildSelectsImplementation(t *testing.T) {
 	lr, cr := rng.New(1), rng.New(2)
 	build := func(s Spec) Channel {

@@ -188,6 +188,25 @@ func (s Spec) ExpectedLossRate() float64 {
 	return 1 - survive
 }
 
+// WithLossRate folds the loss-rate shorthand (the facade's WithLossRate,
+// the sweep's LossRates axis) into the spec as an i.i.d. Bernoulli loss
+// process. Zero leaves the spec unchanged; a rate outside [0, 1] or a
+// spec that already has a loss model is an error.
+func (s Spec) WithLossRate(p float64) (Spec, error) {
+	if p == 0 {
+		return s, nil
+	}
+	if p < 0 || p > 1 {
+		return s, fmt.Errorf("loss rate %v outside [0, 1]", p)
+	}
+	if s.Loss != LossNone {
+		return s, fmt.Errorf("loss rate %v combined with a %v loss model", p, s.Loss)
+	}
+	s.Loss = LossBernoulli
+	s.LossRate = p
+	return s, nil
+}
+
 // Validate reports the first problem with the spec.
 func (s Spec) Validate() error {
 	switch s.Loss {

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"math"
 
-	"geogossip/internal/channel"
 	"geogossip/internal/graph"
 	"geogossip/internal/hier"
 	"geogossip/internal/metrics"
-	"geogossip/internal/obs"
 	"geogossip/internal/par"
 	"geogossip/internal/rng"
 	"geogossip/internal/routing"
@@ -16,7 +14,8 @@ import (
 	"geogossip/internal/trace"
 )
 
-// AsyncOptions configures RunAsync, the event-driven protocol of §4.
+// AsyncOptions configures RunAsync, the event-driven protocol of §4:
+// the shared run environment plus the budget model's knobs.
 //
 // Budget model: the paper gives each square a round length
 // time(n, r, ε, δ) — a worst-case 16th-power polylog — and throttles
@@ -24,90 +23,44 @@ import (
 // fires while the subtree below it is still averaging. We keep the
 // structure and replace the constants: a leaf representative's round
 // lasts LeafTicks of its own clock; an internal square at depth r gets
-// budget(r) = ceil(RoundsFactor·ln(m/ε_r))·Throttle·budget(r+1) ticks
-// (m = its child count), and a depth-r square fires Far with probability
-// 1/(Throttle·budget(r)) per tick. Throttle stands in for the paper's
-// n^a serialization factor; experiment E13 sweeps it and counts overlap
-// events.
+// budget(r) = ceil(asyncRoundsFactor·ln(m/ε_r))·Throttle·budget(r+1)
+// ticks (m = its child count, ε_r from Stop.TargetErr by the adaptive
+// schedule ε_{r+1} = ε_r / (4·sqrt(E#[□_r]))), and a depth-r square fires
+// Far with probability 1/(Throttle·budget(r)) per tick. Throttle stands
+// in for the paper's n^a serialization factor; experiment E13 sweeps it
+// and counts overlap events.
+//
+// Of RunEnv, Stop is the global termination (a zero TargetErr sizes the
+// budgets for 1e-2), RecordEvery zero selects n, a nil Routes gives the
+// run a per-state private cache, and Faults hit the data plane only: the
+// control plane (activation floods and routes) is assumed reliable.
+// Recover runs
+// the recovery sweep (heal) once per simulated time unit; Parallel
+// shards its revival scan (healScanParallel) and requires Recover.
 type AsyncOptions struct {
-	// Eps sizes the per-level budgets via the adaptive schedule
-	// ε_{r+1} = ε_r / (EpsDecayFactor·sqrt(E#[□_r])). Zero selects 1e-2.
-	Eps float64
-	// EpsDecayFactor is the per-level accuracy decay factor; zero
-	// selects 4 (see RecursiveOptions.EpsDecayFactor).
-	EpsDecayFactor float64
+	sim.RunEnv
 	// Beta scales the affine coefficient; zero selects DefaultBeta.
 	Beta float64
-	// Throttle is the round-serialization factor; zero selects 4.
+	// Throttle is the round-serialization factor; zero selects 8.
 	Throttle float64
-	// RoundsFactor scales exchanges per round; zero selects 1.
-	RoundsFactor float64
 	// LeafTicks is a leaf representative's round budget in its own clock
 	// ticks; zero selects 64.
 	LeafTicks int
-	// Stop bundles global termination (the experiment-level oracle); its
-	// zero MaxTicks defaults to sim's defensive cap.
-	Stop sim.StopRule
-	// RecordEvery samples the convergence curve every RecordEvery ticks;
-	// zero selects n.
-	RecordEvery uint64
-	// Recovery selects routing stall handling; zero selects RecoveryBFS.
-	Recovery routing.Recovery
-	// Routes optionally supplies a shared deterministic route/flood
-	// cache bound to the run's graph (see RecursiveOptions.Routes).
-	Routes *routing.Cache
-	// LossRate is the probability that a data packet (Near exchange or a
-	// leg of a Far route) is lost — shorthand for a Bernoulli fault model
-	// in Faults; the control plane (activation floods and routes) is
-	// assumed reliable. Lost exchanges pay partial cost and apply no
-	// update. Zero disables loss. Setting both LossRate and a loss model
-	// in Faults is an error.
-	LossRate float64
-	// Faults selects the radio fault model for the data plane (loss
-	// process, spatial jamming, partition cuts and/or node churn —
-	// including churn targeted at representatives). The zero Spec is the
-	// perfect medium.
-	Faults channel.Spec
-	// Recover enables the recovery protocol: once per simulated time
-	// unit (n ticks) squares with dead representatives re-elect the
-	// nearest alive member (paying an election flood over the square's
-	// live members), and nodes that revived since the last sweep resync
-	// their control state from a live leaf neighbour (2 transmissions
-	// each). Off by default — enabling it changes behaviour under churn,
-	// so historical churn runs stay bit-identical without it. Takeovers
-	// happen on a copy-on-write representative view (hier.RepView); the
-	// shared hierarchy build is never mutated.
-	Recover bool
-	// Parallel, when enabled, shards the recovery sweep's O(n) revival
-	// scan — the engine's per-time-unit clock sweep — across workers on
-	// the deterministic snapshot schedule of DESIGN.md §9: liveness and
-	// local.state are snapshotted once per sweep, per-node classification
-	// runs sharded over the snapshots, and accounting applies serially in
-	// node order, so results are bit-identical at every worker count.
-	// Donors are selected against the sweep-start snapshot (the serial
-	// sweep reads evolving state), so the option defaults off to keep
-	// historical Recover fingerprints byte-identical. Requires Recover.
-	Parallel sim.Parallel
 	// State optionally supplies a reusable run state shared with the
 	// recursive engine (see RecursiveOptions.State). Nil gives the run a
 	// fresh private state.
 	State *RunState
-	// Tracer, when non-nil, receives structured protocol events
-	// (activations, deactivations, far exchanges, losses, resyncs,
-	// churn transitions).
-	Tracer trace.Tracer
-	// Obs, when non-nil, receives metrics through the label-free fast
-	// path (see obs.Scope). Nil costs nothing.
-	Obs *obs.Scope
 }
 
+const (
+	// asyncRoundsFactor scales the exchanges per round.
+	asyncRoundsFactor = 2
+	// asyncEpsDecay is the per-level accuracy decay factor of the
+	// budget schedule (see RecursiveOptions.EpsDecayFactor).
+	asyncEpsDecay = 4
+)
+
 func (o AsyncOptions) withDefaults() AsyncOptions {
-	if o.Eps <= 0 {
-		o.Eps = 1e-2
-	}
-	if o.EpsDecayFactor <= 0 {
-		o.EpsDecayFactor = 4
-	}
 	if o.Beta == 0 {
 		o.Beta = DefaultBeta
 	}
@@ -118,20 +71,10 @@ func (o AsyncOptions) withDefaults() AsyncOptions {
 		// simulates; the paper scales the analogous factor as n^a.
 		o.Throttle = 8
 	}
-	if o.RoundsFactor <= 0 {
-		o.RoundsFactor = 1
-	}
 	if o.LeafTicks <= 0 {
 		o.LeafTicks = 64
 	}
-	if o.Recovery == 0 {
-		o.Recovery = routing.RecoveryBFS
-	}
 	return o
-}
-
-func (o AsyncOptions) faultSpec() (channel.Spec, error) {
-	return faultSpec(o.LossRate, o.Faults)
 }
 
 // AsyncResult extends the shared summary with protocol counters.
@@ -150,12 +93,6 @@ type AsyncResult struct {
 	OverlapFars uint64
 	// RouteFailures counts undeliverable long-range round trips.
 	RouteFailures uint64
-	// Reelections counts representative takeovers performed by the
-	// recovery sweep (AsyncOptions.Recover).
-	Reelections uint64
-	// Resyncs counts revived-node control-state resyncs performed by the
-	// recovery sweep.
-	Resyncs uint64
 	// BudgetByDepth reports the per-depth round budgets used.
 	BudgetByDepth []uint64
 }
@@ -223,17 +160,13 @@ func RunAsync(g *graph.Graph, h *hier.Hierarchy, x []float64, opt AsyncOptions, 
 	if g.N() == 0 {
 		return &AsyncResult{Result: sim.EmptyResult("affine-async")}, nil
 	}
-	spec, err := opt.faultSpec()
-	if err != nil {
-		return nil, err
-	}
 	st := opt.State
 	if st == nil {
 		st = &RunState{}
 	}
 	// Re-elections (under Recover) write to the state's representative
 	// view, never to the shared hierarchy build.
-	st.bind(g, h, opt.Recovery, opt.Routes)
+	st.bind(g, h, opt.Routes)
 	e := &st.async
 	*e = asyncEngine{
 		st:           st,
@@ -243,7 +176,7 @@ func RunAsync(g *graph.Graph, h *hier.Hierarchy, x []float64, opt AsyncOptions, 
 		view:         &st.view,
 		opt:          opt,
 		x:            x,
-		expectedLoss: spec.ExpectedLossRate(),
+		expectedLoss: opt.Faults.ExpectedLossRate(),
 		protoRNG:     st.stream(&st.protoRNG, r, "protocol"),
 	}
 	st.localOn = sim.GrowBool(st.localOn, g.N())
@@ -252,7 +185,7 @@ func RunAsync(g *graph.Graph, h *hier.Hierarchy, x []float64, opt AsyncOptions, 
 	st.count = sim.GrowUint64(st.count, len(h.Squares))
 	e.localOn, e.globalOn, e.active, e.count = st.localOn, st.globalOn, st.active, st.count
 	if opt.Parallel.Enabled() && !opt.Recover {
-		return nil, fmt.Errorf("core: AsyncOptions.Parallel shards the recovery sweep and requires Recover")
+		return nil, fmt.Errorf("core: Parallel shards the recovery sweep and requires Recover")
 	}
 	if opt.Recover {
 		e.healEvery = uint64(g.N())
@@ -272,8 +205,7 @@ func RunAsync(g *graph.Graph, h *hier.Hierarchy, x []float64, opt AsyncOptions, 
 	// The data-plane medium draws losses from the protocol stream (the
 	// same stream the inline checks used, keeping pre-channel runs
 	// bit-identical) and churn schedules from their own stream.
-	st.tline.Reset(spec.HasTransport())
-	medium, err := spec.BuildWith(&st.ch, g.N(), st.faultEnv(g, h, spec, opt.Obs, opt.Tracer), e.protoRNG, st.stream(&st.churnRNG, r, "churn"))
+	medium, err := sim.BuildMedium(&st.ch, &st.tline, opt.RunEnv, g, h, e.protoRNG, st.stream(&st.churnRNG, r, "churn"))
 	if err != nil {
 		return nil, err
 	}
@@ -288,14 +220,11 @@ func RunAsync(g *graph.Graph, h *hier.Hierarchy, x []float64, opt AsyncOptions, 
 	}
 
 	st.harness.Reset(x, sim.HarnessConfig{
-		Stop:        opt.Stop,
-		RecordEvery: opt.RecordEvery,
-		Medium:      medium,
-		Points:      g.Points(),
-		Router:      e.rt,
-		Tracer:      opt.Tracer,
-		Obs:         opt.Obs,
-		Timeline:    &st.tline,
+		RunEnv:   opt.RunEnv,
+		Medium:   medium,
+		Points:   g.Points(),
+		Router:   e.rt,
+		Timeline: &st.tline,
 	}, st.stream(&st.clockRNG, r, "clock"))
 	e.run = &st.harness
 	for !e.run.Done() {
@@ -305,8 +234,6 @@ func RunAsync(g *graph.Graph, h *hier.Hierarchy, x []float64, opt AsyncOptions, 
 	e.res.BudgetByDepth = append([]uint64(nil), e.budget...)
 	e.res.Reelections = e.reelections
 	e.res.Resyncs = e.resyncs
-	e.res.Result.Reelections = e.reelections
-	e.res.Result.Resyncs = e.resyncs
 	// The engine lives inside a pooled state: hand out a copy so a later
 	// run's reset cannot touch the caller's counters.
 	res := e.res
@@ -348,7 +275,7 @@ func (e *asyncEngine) heal() {
 	for _, id := range changed {
 		sq := e.h.Squares[id]
 		e.reelections++
-		e.st.chargeReelection(sq, alive, e.opt.Recovery, &e.run.Counter, e.opt.Tracer, e.run.Scope)
+		e.st.chargeReelection(sq, alive, &e.run.Counter, e.opt.Tracer, e.run.Scope)
 		// The successor restarts the square's round from scratch.
 		e.count[id] = 0
 	}
@@ -405,7 +332,9 @@ const (
 )
 
 // healScanParallel is the revival scan of heal on the deterministic
-// sharded snapshot schedule (AsyncOptions.Parallel):
+// sharded snapshot schedule (RunEnv.Parallel). Donors are selected
+// against the sweep-start snapshot while the serial sweep reads evolving
+// state, so the mode is opt-in, keeping Recover fingerprints intact:
 //
 //	phase A (parallel): snapshot per-node liveness. Alive is node-local
 //	  (churn schedules extend lazily per node), so disjoint node ranges
@@ -491,10 +420,15 @@ func (e *asyncEngine) buildBudgets() {
 	e.budget[leafDepth] = uint64(e.opt.LeafTicks)
 	// Per-depth accuracy targets follow the adaptive decay schedule.
 	eps := e.st.epsBuf
-	eps[0] = e.opt.Eps
+	eps[0] = e.opt.Stop.TargetErr
+	if eps[0] <= 0 {
+		// The budgets need a level-0 accuracy even when the stop rule
+		// has none (the run goes to MaxTicks).
+		eps[0] = 1e-2
+	}
 	expected := float64(e.g.N())
 	for r := 1; r < depths; r++ {
-		eps[r] = eps[r-1] / (e.opt.EpsDecayFactor * math.Sqrt(expected))
+		eps[r] = eps[r-1] / (asyncEpsDecay * math.Sqrt(expected))
 		expected /= float64(e.h.Branching[r-1])
 	}
 	// Under packet loss a Far exchange survives only with probability
@@ -509,7 +443,7 @@ func (e *asyncEngine) buildBudgets() {
 	}
 	for r := leafDepth - 1; r >= 0; r-- {
 		m := float64(e.h.Branching[r]) // children per depth-r square
-		rounds := math.Ceil(e.opt.RoundsFactor * lossFactor * math.Log(m/eps[r]))
+		rounds := math.Ceil(asyncRoundsFactor * lossFactor * math.Log(m/eps[r]))
 		if rounds < 1 {
 			rounds = 1
 		}
@@ -616,7 +550,7 @@ func (e *asyncEngine) activate(sq *hier.Square) {
 			if childRep < 0 {
 				continue
 			}
-			res := e.rt.RouteToNode(e.rep(sq), childRep, e.opt.Recovery)
+			res := e.rt.RouteToNode(e.rep(sq), childRep, routing.RecoveryBFS)
 			e.run.Counter.Add(sim.CatControl, res.Hops)
 			cost += res.Hops
 			if res.Delivered {
@@ -650,7 +584,7 @@ func (e *asyncEngine) deactivate(sq *hier.Square) {
 			if childRep < 0 {
 				continue
 			}
-			res := e.rt.RouteToNode(e.rep(sq), childRep, e.opt.Recovery)
+			res := e.rt.RouteToNode(e.rep(sq), childRep, routing.RecoveryBFS)
 			e.run.Counter.Add(sim.CatControl, res.Hops)
 			cost += res.Hops
 			if res.Delivered {
@@ -680,7 +614,7 @@ func (e *asyncEngine) far(sq *hier.Square) {
 	if partnerRep < 0 || myRep < 0 {
 		return // a recovery sweep retired the square entirely
 	}
-	out := e.rt.RouteToNode(myRep, partnerRep, e.opt.Recovery)
+	out := e.rt.RouteToNode(myRep, partnerRep, routing.RecoveryBFS)
 	// On success paid is the transport layer's extra airtime
 	// (retransmissions, duplicates); zero without delay/arq.
 	ok, paid := e.run.Medium.DeliverRoundTrip(e.run.Packet(myRep, partnerRep, out.Hops))
@@ -694,7 +628,7 @@ func (e *asyncEngine) far(sq *hier.Square) {
 	hops := out.Hops + paid
 	delivered := out.Delivered
 	if delivered {
-		back := e.rt.RouteToNode(partnerRep, myRep, e.opt.Recovery)
+		back := e.rt.RouteToNode(partnerRep, myRep, routing.RecoveryBFS)
 		hops += back.Hops
 		delivered = back.Delivered
 	}

@@ -42,10 +42,11 @@ func BenchmarkAsyncSteadyTick(b *testing.B) {
 	st := NewRunState()
 	x := benchValues(g.N(), 2)
 	if _, err := RunAsync(g, h, x, AsyncOptions{
-		Eps:         1e-2,
-		RecordEvery: math.MaxUint64 >> 1,
-		Stop:        sim.StopRule{MaxTicks: 200_000},
-		State:       st,
+		RunEnv: sim.RunEnv{
+			RecordEvery: math.MaxUint64 >> 1,
+			Stop:        sim.StopRule{MaxTicks: 200_000},
+		},
+		State: st,
 	}, rng.New(3)); err != nil {
 		b.Fatal(err)
 	}
@@ -68,9 +69,11 @@ func BenchmarkRecursiveFarExchange(b *testing.B) {
 	st := NewRunState()
 	x := benchValues(g.N(), 4)
 	if _, err := RunRecursive(g, h, x, RecursiveOptions{
-		Eps:         1e-2,
-		RecordEvery: 1 << 40,
-		State:       st,
+		RunEnv: sim.RunEnv{
+			Stop:        sim.StopRule{TargetErr: 1e-2},
+			RecordEvery: 1 << 40,
+		},
+		State: st,
 	}, rng.New(5)); err != nil {
 		b.Fatal(err)
 	}
@@ -98,11 +101,12 @@ func BenchmarkAsyncSteadyTickInstrumented(b *testing.B) {
 	st := NewRunState()
 	x := benchValues(g.N(), 2)
 	if _, err := RunAsync(g, h, x, AsyncOptions{
-		Eps:         1e-2,
-		RecordEvery: math.MaxUint64 >> 1,
-		Stop:        sim.StopRule{MaxTicks: 200_000},
-		State:       st,
-		Obs:         obs.NewRegistry().Scope("affine-async"),
+		RunEnv: sim.RunEnv{
+			RecordEvery: math.MaxUint64 >> 1,
+			Stop:        sim.StopRule{MaxTicks: 200_000},
+			Obs:         obs.NewRegistry().Scope("affine-async"),
+		},
+		State: st,
 	}, rng.New(3)); err != nil {
 		b.Fatal(err)
 	}
@@ -122,10 +126,12 @@ func BenchmarkRecursiveFarExchangeInstrumented(b *testing.B) {
 	st := NewRunState()
 	x := benchValues(g.N(), 4)
 	if _, err := RunRecursive(g, h, x, RecursiveOptions{
-		Eps:         1e-2,
-		RecordEvery: 1 << 40,
-		State:       st,
-		Obs:         obs.NewRegistry().Scope("affine-hierarchical"),
+		RunEnv: sim.RunEnv{
+			Stop:        sim.StopRule{TargetErr: 1e-2},
+			RecordEvery: 1 << 40,
+			Obs:         obs.NewRegistry().Scope("affine-hierarchical"),
+		},
+		State: st,
 	}, rng.New(5)); err != nil {
 		b.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"geogossip/internal/graph"
 	"geogossip/internal/hier"
 	"geogossip/internal/rng"
-	"geogossip/internal/routing"
 	"geogossip/internal/sim"
 )
 
@@ -66,7 +65,7 @@ func TestRecursiveConverges(t *testing.T) {
 	x := randomValues(f.g.N(), 131)
 	x0 := append([]float64(nil), x...)
 	mean := meanOf(x)
-	res, err := RunRecursive(f.g, f.h, x, RecursiveOptions{Eps: 1e-3}, rng.New(132))
+	res, err := RunRecursive(f.g, f.h, x, RecursiveOptions{RunEnv: sim.RunEnv{Stop: sim.StopRule{TargetErr: 1e-3}}}, rng.New(132))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +93,7 @@ func TestRecursiveDeterministic(t *testing.T) {
 	f := newFixture(t, 512, 1.8, 133, hier.Config{})
 	run := func() *Result {
 		x := randomValues(f.g.N(), 134)
-		res, err := RunRecursive(f.g, f.h, x, RecursiveOptions{Eps: 1e-3}, rng.New(135))
+		res, err := RunRecursive(f.g, f.h, x, RecursiveOptions{RunEnv: sim.RunEnv{Stop: sim.StopRule{TargetErr: 1e-3}}}, rng.New(135))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +113,7 @@ func TestRecursiveSumPreservedExactlyAtEveryScale(t *testing.T) {
 		for _, v := range x {
 			sumBefore += v
 		}
-		if _, err := RunRecursive(f.g, f.h, x, RecursiveOptions{Eps: 1e-2}, rng.New(142)); err != nil {
+		if _, err := RunRecursive(f.g, f.h, x, RecursiveOptions{RunEnv: sim.RunEnv{Stop: sim.StopRule{TargetErr: 1e-2}}}, rng.New(142)); err != nil {
 			t.Fatal(err)
 		}
 		sumAfter := 0.0
@@ -135,7 +134,7 @@ func TestRecursiveSingleLeafDegeneratesToNearGossip(t *testing.T) {
 		t.Skip("hierarchy unexpectedly deep")
 	}
 	x := randomValues(f.g.N(), 144)
-	res, err := RunRecursive(f.g, f.h, x, RecursiveOptions{Eps: 1e-3}, rng.New(145))
+	res, err := RunRecursive(f.g, f.h, x, RecursiveOptions{RunEnv: sim.RunEnv{Stop: sim.StopRule{TargetErr: 1e-3}}}, rng.New(145))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +182,7 @@ func TestRecursiveConsensusStartIsFree(t *testing.T) {
 	for i := range x {
 		x[i] = 3.7
 	}
-	res, err := RunRecursive(f.g, f.h, x, RecursiveOptions{Eps: 1e-4}, rng.New(149))
+	res, err := RunRecursive(f.g, f.h, x, RecursiveOptions{RunEnv: sim.RunEnv{Stop: sim.StopRule{TargetErr: 1e-4}}}, rng.New(149))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,8 +195,10 @@ func TestRecursiveFixedBudgetMode(t *testing.T) {
 	f := newFixture(t, 512, 1.8, 150, hier.Config{})
 	x := randomValues(f.g.N(), 151)
 	res, err := RunRecursive(f.g, f.h, x, RecursiveOptions{
-		Eps:  1e-2,
-		Stop: StopFixedBudget,
+		RunEnv: sim.RunEnv{
+			Stop: sim.StopRule{TargetErr: 1e-2},
+		},
+		Rounds: StopFixedBudget,
 	}, rng.New(152))
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +213,9 @@ func TestRecursiveLeafFastMode(t *testing.T) {
 	f := newFixture(t, 1024, 1.8, 153, hier.Config{})
 	x := randomValues(f.g.N(), 154)
 	res, err := RunRecursive(f.g, f.h, x, RecursiveOptions{
-		Eps:  1e-3,
+		RunEnv: sim.RunEnv{
+			Stop: sim.StopRule{TargetErr: 1e-3},
+		},
 		Leaf: LeafFast,
 	}, rng.New(155))
 	if err != nil {
@@ -235,11 +238,11 @@ func TestRecursiveConvexAblationIsSlower(t *testing.T) {
 	f := newFixture(t, 512, 1.8, 156, hier.Config{})
 	xa := randomValues(f.g.N(), 157)
 	xc := append([]float64(nil), xa...)
-	affine, err := RunRecursive(f.g, f.h, xa, RecursiveOptions{Eps: 1e-2}, rng.New(158))
+	affine, err := RunRecursive(f.g, f.h, xa, RecursiveOptions{RunEnv: sim.RunEnv{Stop: sim.StopRule{TargetErr: 1e-2}}}, rng.New(158))
 	if err != nil {
 		t.Fatal(err)
 	}
-	convex, err := RunRecursive(f.g, f.h, xc, RecursiveOptions{Eps: 1e-2, Convex: true}, rng.New(158))
+	convex, err := RunRecursive(f.g, f.h, xc, RecursiveOptions{RunEnv: sim.RunEnv{Stop: sim.StopRule{TargetErr: 1e-2}}, Convex: true}, rng.New(158))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +261,9 @@ func TestRecursiveBetaOutsideBandDegrades(t *testing.T) {
 	f := newFixture(t, 512, 1.8, 159, hier.Config{})
 	x := randomValues(f.g.N(), 160)
 	res, err := RunRecursive(f.g, f.h, x, RecursiveOptions{
-		Eps:  1e-3,
+		RunEnv: sim.RunEnv{
+			Stop: sim.StopRule{TargetErr: 1e-3},
+		},
 		Beta: 1.3, // α ≈ 1.3 per exchange: expansive
 	}, rng.New(161))
 	if err != nil {
@@ -276,7 +281,7 @@ func TestRecursiveFlatHierarchy(t *testing.T) {
 		t.Fatalf("expected flat hierarchy, ell = %d", f.h.Ell)
 	}
 	x := randomValues(f.g.N(), 163)
-	res, err := RunRecursive(f.g, f.h, x, RecursiveOptions{Eps: 1e-3}, rng.New(164))
+	res, err := RunRecursive(f.g, f.h, x, RecursiveOptions{RunEnv: sim.RunEnv{Stop: sim.StopRule{TargetErr: 1e-3}}}, rng.New(164))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,9 +298,9 @@ func TestAsyncConverges(t *testing.T) {
 	x := randomValues(f.g.N(), 166)
 	mean := meanOf(x)
 	res, err := RunAsync(f.g, f.h, x, AsyncOptions{
-		Eps:          1e-2,
-		RoundsFactor: 2,
-		Stop:         sim.StopRule{TargetErr: 1e-2, MaxTicks: 30_000_000},
+		RunEnv: sim.RunEnv{
+			Stop: sim.StopRule{TargetErr: 1e-2, MaxTicks: 30_000_000},
+		},
 	}, rng.New(167))
 	if err != nil {
 		t.Fatal(err)
@@ -320,7 +325,9 @@ func TestAsyncDeterministic(t *testing.T) {
 	run := func() *AsyncResult {
 		x := randomValues(f.g.N(), 169)
 		res, err := RunAsync(f.g, f.h, x, AsyncOptions{
-			Stop: sim.StopRule{TargetErr: 5e-2, MaxTicks: 10_000_000},
+			RunEnv: sim.RunEnv{
+				Stop: sim.StopRule{TargetErr: 5e-2, MaxTicks: 10_000_000},
+			},
 		}, rng.New(170))
 		if err != nil {
 			t.Fatal(err)
@@ -340,7 +347,9 @@ func TestAsyncBudgetsDecreaseWithDepth(t *testing.T) {
 	}
 	x := randomValues(f.g.N(), 172)
 	res, err := RunAsync(f.g, f.h, x, AsyncOptions{
-		Stop: sim.StopRule{MaxTicks: 100_000}, // structure check only
+		RunEnv: sim.RunEnv{
+			Stop: sim.StopRule{MaxTicks: 100_000}, // structure check only
+		},
 	}, rng.New(173))
 	if err != nil {
 		t.Fatal(err)
@@ -360,8 +369,10 @@ func TestAsyncHigherThrottleFewerOverlaps(t *testing.T) {
 	overlapRate := func(throttle float64) float64 {
 		x := randomValues(f.g.N(), 175)
 		res, err := RunAsync(f.g, f.h, x, AsyncOptions{
+			RunEnv: sim.RunEnv{
+				Stop: sim.StopRule{MaxTicks: 3_000_000},
+			},
 			Throttle: throttle,
-			Stop:     sim.StopRule{MaxTicks: 3_000_000},
 		}, rng.New(176))
 		if err != nil {
 			t.Fatal(err)
@@ -412,7 +423,9 @@ func TestAsyncSingleLeaf(t *testing.T) {
 	}
 	x := randomValues(f.g.N(), 179)
 	res, err := RunAsync(f.g, f.h, x, AsyncOptions{
-		Stop: sim.StopRule{TargetErr: 1e-2, MaxTicks: 5_000_000},
+		RunEnv: sim.RunEnv{
+			Stop: sim.StopRule{TargetErr: 1e-2, MaxTicks: 5_000_000},
+		},
 	}, rng.New(180))
 	if err != nil {
 		t.Fatal(err)
@@ -428,7 +441,7 @@ func TestAsyncSingleLeaf(t *testing.T) {
 func TestBuildLeafAdjRestrictsToLeaf(t *testing.T) {
 	f := newFixture(t, 512, 1.8, 181, hier.Config{})
 	st := NewRunState()
-	st.bind(f.g, f.h, routing.RecoveryBFS, nil)
+	st.bind(f.g, f.h, nil)
 	for i := int32(0); int(i) < f.g.N(); i++ {
 		for _, v := range st.leafNbrs(i) {
 			if f.h.NodeLeaf[v] != f.h.NodeLeaf[i] {

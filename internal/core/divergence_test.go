@@ -4,8 +4,10 @@ import (
 	"math"
 	"testing"
 
+	"geogossip/internal/channel"
 	"geogossip/internal/hier"
 	"geogossip/internal/rng"
+	"geogossip/internal/sim"
 )
 
 // The instance below (found by the root package's randomized property
@@ -26,8 +28,10 @@ func TestRecursiveDivergenceGuard(t *testing.T) {
 		x := append([]float64(nil), base...)
 		mean := meanOf(x)
 		res, err := RunRecursive(f.g, f.h, x, RecursiveOptions{
-			Eps:      5e-2,
-			LossRate: loss,
+			RunEnv: sim.RunEnv{
+				Stop:   sim.StopRule{TargetErr: 5e-2},
+				Faults: channel.Spec{Loss: channel.LossBernoulli, LossRate: loss},
+			},
 		}, rng.New(runSeed))
 		if err != nil {
 			t.Fatal(err)
@@ -50,7 +54,9 @@ func TestRecursiveExtremeBetaStaysDirty(t *testing.T) {
 	f := newFixture(t, 512, 1.8, 420, hier.Config{})
 	x := randomValues(f.g.N(), 421)
 	res, err := RunRecursive(f.g, f.h, x, RecursiveOptions{
-		Eps:  1e-3,
+		RunEnv: sim.RunEnv{
+			Stop: sim.StopRule{TargetErr: 1e-3},
+		},
 		Beta: 1.2,
 	}, rng.New(422))
 	if err != nil {

@@ -27,8 +27,10 @@ func TestRecursiveAtomicUnderBurstLoss(t *testing.T) {
 	x := randomValues(f.g.N(), 521)
 	mean := meanOf(x)
 	res, err := RunRecursive(f.g, f.h, x, RecursiveOptions{
-		Eps:    1e-2,
-		Faults: burstFaults(),
+		RunEnv: sim.RunEnv{
+			Stop:   sim.StopRule{TargetErr: 1e-2},
+			Faults: burstFaults(),
+		},
 	}, rng.New(522))
 	if err != nil {
 		t.Fatal(err)
@@ -49,9 +51,10 @@ func TestAsyncAtomicUnderBurstLoss(t *testing.T) {
 	x := randomValues(f.g.N(), 524)
 	mean := meanOf(x)
 	res, err := RunAsync(f.g, f.h, x, AsyncOptions{
-		Eps:    3e-2,
-		Faults: burstFaults(),
-		Stop:   sim.StopRule{TargetErr: 3e-2, MaxTicks: 60_000_000},
+		RunEnv: sim.RunEnv{
+			Faults: burstFaults(),
+			Stop:   sim.StopRule{TargetErr: 3e-2, MaxTicks: 60_000_000},
+		},
 	}, rng.New(525))
 	if err != nil {
 		t.Fatal(err)
@@ -72,9 +75,11 @@ func TestRecursiveSumInvariantUnderChurn(t *testing.T) {
 	x := randomValues(f.g.N(), 527)
 	sum0 := meanOf(x) * float64(f.g.N())
 	res, err := RunRecursive(f.g, f.h, x, RecursiveOptions{
-		Eps: 1e-2,
-		Faults: channel.Spec{
-			Churn: channel.ChurnParams{MeanUp: 500_000, MeanDown: 100_000},
+		RunEnv: sim.RunEnv{
+			Stop: sim.StopRule{TargetErr: 1e-2},
+			Faults: channel.Spec{
+				Churn: channel.ChurnParams{MeanUp: 500_000, MeanDown: 100_000},
+			},
 		},
 	}, rng.New(528))
 	if err != nil {
@@ -95,13 +100,14 @@ func TestAsyncSumInvariantUnderChurn(t *testing.T) {
 	x := randomValues(f.g.N(), 530)
 	sum0 := meanOf(x) * float64(f.g.N())
 	res, err := RunAsync(f.g, f.h, x, AsyncOptions{
-		Eps: 3e-2,
-		Faults: channel.Spec{
-			Loss:     channel.LossBernoulli,
-			LossRate: 0.1,
-			Churn:    channel.ChurnParams{MeanUp: 2_000_000, MeanDown: 500_000},
+		RunEnv: sim.RunEnv{
+			Faults: channel.Spec{
+				Loss:     channel.LossBernoulli,
+				LossRate: 0.1,
+				Churn:    channel.ChurnParams{MeanUp: 2_000_000, MeanDown: 500_000},
+			},
+			Stop: sim.StopRule{MaxTicks: 5_000_000},
 		},
-		Stop: sim.StopRule{MaxTicks: 5_000_000},
 	}, rng.New(531))
 	if err != nil {
 		t.Fatal(err)
@@ -118,17 +124,10 @@ func TestAsyncSumInvariantUnderChurn(t *testing.T) {
 func TestCoreFaultValidation(t *testing.T) {
 	f := newFixture(t, 64, 2.5, 532, hier.Config{})
 	x := make([]float64, f.g.N())
-	if _, err := RunRecursive(f.g, f.h, x, RecursiveOptions{LossRate: 1.5}, rng.New(1)); err == nil {
+	if _, err := RunRecursive(f.g, f.h, x, RecursiveOptions{RunEnv: sim.RunEnv{Faults: channel.Spec{Loss: channel.LossBernoulli, LossRate: 1.5}}}, rng.New(1)); err == nil {
 		t.Fatal("recursive accepted loss rate 1.5")
 	}
-	if _, err := RunAsync(f.g, f.h, x, AsyncOptions{LossRate: -0.1}, rng.New(1)); err == nil {
+	if _, err := RunAsync(f.g, f.h, x, AsyncOptions{RunEnv: sim.RunEnv{Faults: channel.Spec{Loss: channel.LossBernoulli, LossRate: -0.1}}}, rng.New(1)); err == nil {
 		t.Fatal("async accepted loss rate -0.1")
-	}
-	both := RecursiveOptions{
-		LossRate: 0.1,
-		Faults:   channel.Spec{Loss: channel.LossBernoulli, LossRate: 0.2},
-	}
-	if _, err := RunRecursive(f.g, f.h, x, both, rng.New(1)); err == nil {
-		t.Fatal("recursive accepted LossRate combined with a Faults loss model")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"geogossip/internal/channel"
 	"geogossip/internal/hier"
 	"geogossip/internal/rng"
 	"geogossip/internal/sim"
@@ -14,8 +15,10 @@ func TestRecursiveConvergesUnderLoss(t *testing.T) {
 	x := randomValues(f.g.N(), 421)
 	mean := meanOf(x)
 	res, err := RunRecursive(f.g, f.h, x, RecursiveOptions{
-		Eps:      1e-2,
-		LossRate: 0.2,
+		RunEnv: sim.RunEnv{
+			Stop:   sim.StopRule{TargetErr: 1e-2},
+			Faults: channel.Spec{Loss: channel.LossBernoulli, LossRate: 0.2},
+		},
 	}, rng.New(422))
 	if err != nil {
 		t.Fatal(err)
@@ -36,8 +39,10 @@ func TestRecursiveLossInflatesCost(t *testing.T) {
 	run := func(loss float64) uint64 {
 		x := randomValues(f.g.N(), 424)
 		res, err := RunRecursive(f.g, f.h, x, RecursiveOptions{
-			Eps:      1e-2,
-			LossRate: loss,
+			RunEnv: sim.RunEnv{
+				Stop:   sim.StopRule{TargetErr: 1e-2},
+				Faults: channel.Spec{Loss: channel.LossBernoulli, LossRate: loss},
+			},
 		}, rng.New(425))
 		if err != nil {
 			t.Fatal(err)
@@ -59,9 +64,10 @@ func TestAsyncConvergesUnderLoss(t *testing.T) {
 	x := randomValues(f.g.N(), 427)
 	mean := meanOf(x)
 	res, err := RunAsync(f.g, f.h, x, AsyncOptions{
-		Eps:      2e-2,
-		LossRate: 0.2,
-		Stop:     sim.StopRule{TargetErr: 2e-2, MaxTicks: 40_000_000},
+		RunEnv: sim.RunEnv{
+			Faults: channel.Spec{Loss: channel.LossBernoulli, LossRate: 0.2},
+			Stop:   sim.StopRule{TargetErr: 2e-2, MaxTicks: 40_000_000},
+		},
 	}, rng.New(428))
 	if err != nil {
 		t.Fatal(err)

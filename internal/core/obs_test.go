@@ -25,7 +25,7 @@ func TestInstrumentedPooledBitIdenticalCore(t *testing.T) {
 
 	for _, cfg := range coreStateConfigs {
 		// Recursive engine.
-		rOpt := RecursiveOptions{Eps: 5e-2, Faults: coreSpec(t, cfg.faults), Recover: cfg.recover}
+		rOpt := RecursiveOptions{RunEnv: sim.RunEnv{Stop: sim.StopRule{TargetErr: 5e-2}, Faults: coreSpec(t, cfg.faults), Recover: cfg.recover}}
 		var freshBuf, pooledBuf bytes.Buffer
 		freshReg, pooledReg := obs.NewRegistry(), obs.NewRegistry()
 
@@ -55,7 +55,7 @@ func TestInstrumentedPooledBitIdenticalCore(t *testing.T) {
 		}
 
 		// Async engine on the same pooled state.
-		aOpt := AsyncOptions{Eps: 1e-2, Faults: coreSpec(t, cfg.faults), Recover: cfg.recover, Stop: stop}
+		aOpt := AsyncOptions{RunEnv: sim.RunEnv{Faults: coreSpec(t, cfg.faults), Recover: cfg.recover, Stop: stop}}
 		freshBuf.Reset()
 		pooledBuf.Reset()
 		freshReg, pooledReg = obs.NewRegistry(), obs.NewRegistry()
@@ -101,11 +101,12 @@ func TestInstrumentedTicksAllocFreeCore(t *testing.T) {
 	f := newFixture(t, 512, 1.8, 990, hier.Config{})
 	st := NewRunState()
 	if _, err := RunAsync(f.g, f.h, randomValues(f.g.N(), 991), AsyncOptions{
-		Eps:         1e-2,
-		RecordEvery: math.MaxUint64 >> 1,
-		Stop:        sim.StopRule{MaxTicks: 200_000},
-		State:       st,
-		Obs:         reg.Scope("async"),
+		RunEnv: sim.RunEnv{
+			RecordEvery: math.MaxUint64 >> 1,
+			Stop:        sim.StopRule{MaxTicks: 200_000},
+			Obs:         reg.Scope("async"),
+		},
+		State: st,
 	}, rng.New(992)); err != nil {
 		t.Fatal(err)
 	}
@@ -120,10 +121,12 @@ func TestInstrumentedTicksAllocFreeCore(t *testing.T) {
 	f2 := newFixture(t, 512, 1.8, 995, hier.Config{})
 	st2 := NewRunState()
 	if _, err := RunRecursive(f2.g, f2.h, randomValues(f2.g.N(), 996), RecursiveOptions{
-		Eps:         1e-2,
-		RecordEvery: 1 << 40,
-		State:       st2,
-		Obs:         reg.Scope("affine"),
+		RunEnv: sim.RunEnv{
+			Stop:        sim.StopRule{TargetErr: 1e-2},
+			RecordEvery: 1 << 40,
+			Obs:         reg.Scope("affine"),
+		},
+		State: st2,
 	}, rng.New(997)); err != nil {
 		t.Fatal(err)
 	}

@@ -40,11 +40,12 @@ func TestAsyncParallelHealWorkerInvariance(t *testing.T) {
 	for _, w := range healWorkerCounts() {
 		x := smoothValues(g)
 		res, err := RunAsync(g, h, x, AsyncOptions{
-			Eps:      1e-2,
-			Faults:   repChurn(t, "repchurn:60000/60000"),
-			Recover:  true,
-			Parallel: sim.Parallel{Shards: 8, Workers: w},
-			Stop:     sim.StopRule{TargetErr: 1e-2, MaxTicks: 2_000_000},
+			RunEnv: sim.RunEnv{
+				Faults:   repChurn(t, "repchurn:60000/60000"),
+				Recover:  true,
+				Parallel: sim.Parallel{Shards: 8, Workers: w},
+				Stop:     sim.StopRule{TargetErr: 1e-2, MaxTicks: 2_000_000},
+			},
 		}, rng.New(671))
 		if err != nil {
 			t.Fatal(err)
@@ -79,12 +80,13 @@ func TestAsyncParallelPooledStateBitIdentity(t *testing.T) {
 	run := func(st *RunState) ([]float64, *AsyncResult) {
 		x := smoothValues(g)
 		res, err := RunAsync(g, h, x, AsyncOptions{
-			Eps:      1e-2,
-			Faults:   repChurn(t, "repchurn:60000/60000"),
-			Recover:  true,
-			Parallel: sim.Parallel{Shards: 4, Workers: 2},
-			State:    st,
-			Stop:     sim.StopRule{TargetErr: 1e-2, MaxTicks: 2_000_000},
+			RunEnv: sim.RunEnv{
+				Faults:   repChurn(t, "repchurn:60000/60000"),
+				Recover:  true,
+				Parallel: sim.Parallel{Shards: 4, Workers: 2},
+				Stop:     sim.StopRule{TargetErr: 1e-2, MaxTicks: 2_000_000},
+			},
+			State: st,
 		}, rng.New(673))
 		if err != nil {
 			t.Fatal(err)
@@ -107,8 +109,10 @@ func TestAsyncParallelRequiresRecover(t *testing.T) {
 	f := newFixture(t, 64, 2.5, 674, hier.Config{})
 	x := smoothValues(f.g)
 	_, err := RunAsync(f.g, f.h, x, AsyncOptions{
-		Eps:      1e-2,
-		Parallel: sim.Parallel{Workers: 2},
+		RunEnv: sim.RunEnv{
+			Stop:     sim.StopRule{TargetErr: 1e-2},
+			Parallel: sim.Parallel{Workers: 2},
+		},
 	}, rng.New(675))
 	if err == nil {
 		t.Fatal("async accepted Parallel without Recover")

@@ -7,7 +7,6 @@ import (
 	"geogossip/internal/graph"
 	"geogossip/internal/hier"
 	"geogossip/internal/rng"
-	"geogossip/internal/routing"
 	"geogossip/internal/sim"
 )
 
@@ -38,9 +37,11 @@ func TestRecursiveReelectionUnderTargetedChurn(t *testing.T) {
 	run := func(recover bool) *Result {
 		x := smoothValues(g)
 		res, err := RunRecursive(g, h, x, RecursiveOptions{
-			Eps:     1e-2,
-			Faults:  repChurn(t, "repchurn:20000/20000"),
-			Recover: recover,
+			RunEnv: sim.RunEnv{
+				Stop:    sim.StopRule{TargetErr: 1e-2},
+				Faults:  repChurn(t, "repchurn:20000/20000"),
+				Recover: recover,
+			},
 		}, rng.New(51))
 		if err != nil {
 			t.Fatal(err)
@@ -71,9 +72,11 @@ func TestRecursiveRecoveryReducesCrashStopDamage(t *testing.T) {
 	run := func(recover bool) *Result {
 		x := smoothValues(g)
 		res, err := RunRecursive(g, h, x, RecursiveOptions{
-			Eps:     1e-2,
-			Faults:  repChurn(t, "repchurn:20000/0"),
-			Recover: recover,
+			RunEnv: sim.RunEnv{
+				Stop:    sim.StopRule{TargetErr: 1e-2},
+				Faults:  repChurn(t, "repchurn:20000/0"),
+				Recover: recover,
+			},
 		}, rng.New(53))
 		if err != nil {
 			t.Fatal(err)
@@ -98,9 +101,11 @@ func TestRecursiveRecoverDoesNotMutateSharedHierarchy(t *testing.T) {
 	}
 	x := smoothValues(g)
 	if _, err := RunRecursive(g, h, x, RecursiveOptions{
-		Eps:     1e-2,
-		Faults:  repChurn(t, "repchurn:20000/20000"),
-		Recover: true,
+		RunEnv: sim.RunEnv{
+			Stop:    sim.StopRule{TargetErr: 1e-2},
+			Faults:  repChurn(t, "repchurn:20000/20000"),
+			Recover: true,
+		},
 	}, rng.New(55)); err != nil {
 		t.Fatal(err)
 	}
@@ -120,10 +125,11 @@ func TestAsyncRecoverySurvivesTargetedChurn(t *testing.T) {
 	run := func(recover bool) *AsyncResult {
 		x := smoothValues(g)
 		res, err := RunAsync(g, h, x, AsyncOptions{
-			Eps:     1e-2,
-			Faults:  repChurn(t, "repchurn:60000/60000"),
-			Recover: recover,
-			Stop:    sim.StopRule{TargetErr: 1e-2, MaxTicks: 2_000_000},
+			RunEnv: sim.RunEnv{
+				Faults:  repChurn(t, "repchurn:60000/60000"),
+				Recover: recover,
+				Stop:    sim.StopRule{TargetErr: 1e-2, MaxTicks: 2_000_000},
+			},
 		}, rng.New(57))
 		if err != nil {
 			t.Fatal(err)
@@ -153,7 +159,7 @@ func TestRepTargetedSpecRejectedWithoutHierarchyContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunRecursive(g, h, x, RecursiveOptions{Eps: 1e-2, Faults: spec}, rng.New(59)); err == nil {
+	if _, err := RunRecursive(g, h, x, RecursiveOptions{RunEnv: sim.RunEnv{Stop: sim.StopRule{TargetErr: 1e-2}, Faults: spec}}, rng.New(59)); err == nil {
 		t.Fatal("hub count above n accepted")
 	}
 }
@@ -165,7 +171,7 @@ func TestRepTargetedSpecRejectedWithoutHierarchyContext(t *testing.T) {
 func TestRepairBridgesFollowCrossComponentTakeover(t *testing.T) {
 	f := newFixture(t, 4096, 1.0, 464, hier.Config{LeafTarget: 16})
 	st := NewRunState()
-	st.bind(f.g, f.h, routing.RecoveryBFS, nil)
+	st.bind(f.g, f.h, nil)
 	adj := st.leafNbrs
 	hops := st.repair
 
@@ -235,7 +241,7 @@ func TestRepairBridgesFollowCrossComponentTakeover(t *testing.T) {
 		t.Fatal("successor landed in the dead component; scenario broken")
 	}
 
-	st.repairLeafSquareInto(st.mutableRepair(), sq, st.view.Rep(sq.ID), routing.RecoveryBFS)
+	st.repairLeafSquareInto(st.mutableRepair(), sq, st.view.Rep(sq.ID))
 	hops = st.repair
 
 	// Every component except the successor's owns exactly one bridge —

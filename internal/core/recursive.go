@@ -64,16 +64,20 @@ const (
 	// reaches the level target — the intrinsic cost of the algorithm,
 	// which the paper's fixed budgets guarantee w.h.p. Default.
 	StopOracle StopMode = iota + 1
-	// StopFixedBudget runs exactly ceil(RoundsFactor·m·ln(m/ε_r)) rounds
+	// StopFixedBudget runs exactly ceil(roundsFactor·m·ln(m/ε_r)) rounds
 	// per square, the shape of the paper's time(n, r, ε, δ) budgets.
 	StopFixedBudget
 )
 
-// RecursiveOptions configures RunRecursive.
+// RecursiveOptions configures RunRecursive: the shared run environment
+// plus the protocol's own knobs. Of RunEnv, Stop.TargetErr is the root
+// accuracy ε₀ (zero selects 1e-4) and MaxTicks is ignored (the per-square
+// round budgets bound the run), RecordEvery counts far exchanges (zero
+// selects 16), fault schedules run in transmissions, a nil Routes gives
+// the run a per-state private cache, Recover enables representative
+// re-election (see ensureRep), and Parallel is rejected.
 type RecursiveOptions struct {
-	// Eps is the target relative ℓ₂ accuracy ε₀ at the root. Zero selects
-	// 1e-4.
-	Eps float64
+	sim.RunEnv
 	// EpsDecayFactor sets the per-level accuracy schedule
 	// ε_{r+1} = ε_r / (EpsDecayFactor·sqrt(E#[□_r])). The affine update
 	// amplifies residual intra-child error by ≈ Beta·sqrt(E#), so the
@@ -84,56 +88,14 @@ type RecursiveOptions struct {
 	// Beta scales the affine coefficient Beta·E#[child]. Zero selects
 	// DefaultBeta = 2/5. Experiment E11 sweeps it.
 	Beta float64
-	// RoundsFactor scales the fixed round budget ceil(RoundsFactor·m·
-	// ln(m/ε_r)) used by StopFixedBudget and as the oracle-mode safety
-	// cap (4x). Zero selects 4.
-	RoundsFactor float64
-	// Stop selects the round-termination rule. Zero selects StopOracle.
-	Stop StopMode
+	// Rounds selects the round-termination rule at internal squares.
+	// Zero selects StopOracle.
+	Rounds StopMode
 	// Leaf selects intra-leaf averaging. Zero selects LeafSimulated.
 	Leaf LeafMode
 	// Convex replaces the affine update with plain averaging of the two
 	// representative values (ablation E12).
 	Convex bool
-	// Recovery selects greedy-routing stall handling. Zero selects
-	// routing.RecoveryBFS.
-	Recovery routing.Recovery
-	// Routes optionally supplies a shared deterministic route/flood
-	// cache bound to the run's graph (see routing.Cache). Nil gives the
-	// run a fresh private cache; the sweep engine shares one cache per
-	// network build. Routing is a pure function of the immutable graph,
-	// so cache sharing cannot change results.
-	Routes *routing.Cache
-	// RecordEvery samples the convergence curve every RecordEvery far
-	// exchanges. Zero selects 16.
-	RecordEvery int
-	// MaxLeafExchanges caps one leaf-averaging call. Zero selects
-	// 200·L² + 1000 for a leaf of L members.
-	MaxLeafExchanges int
-	// LossRate is the probability that a data packet (single-hop
-	// exchange, or a leg of a long-range route) is lost — shorthand for
-	// a Bernoulli fault model in Faults. Lost exchanges pay for the
-	// transmissions made before the loss but apply no update; updates
-	// commit atomically per pair so the sum invariant survives. Zero
-	// disables loss. Setting both LossRate and a loss model in Faults is
-	// an error.
-	LossRate float64
-	// Faults selects the radio fault model (loss process, spatial
-	// jamming, partition cuts and/or node churn — including churn
-	// targeted at hierarchy representatives). The zero Spec is the
-	// perfect medium. This engine has no global clock, so churn and
-	// field/cut schedules are measured in transmissions.
-	Faults channel.Spec
-	// Recover enables representative re-election: when a long-range
-	// exchange finds a square's representative dead, the member nearest
-	// the square's centre among the survivors takes over (paying an
-	// election flood over the square's live members) and the exchange
-	// proceeds with the new representative. Off by default — enabling it
-	// changes behaviour under churn, so historical churn runs stay
-	// bit-identical without it. Takeovers happen on a copy-on-write
-	// representative view (hier.RepView); the shared hierarchy build is
-	// never mutated.
-	Recover bool
 	// State optionally supplies a reusable run state (routing core,
 	// representative view, flattened adjacency/repair tables, channel
 	// pool, RNG streams, scratch), so repeat runs — the sweep engine
@@ -141,19 +103,15 @@ type RecursiveOptions struct {
 	// re-allocating everything per run. Nil gives the run a fresh private
 	// state. Reuse cannot change results (see RunState).
 	State *RunState
-	// Tracer, when non-nil, receives structured protocol events (far
-	// exchanges, leaf completions, losses).
-	Tracer trace.Tracer
-	// Obs, when non-nil, receives metrics through the label-free fast
-	// path (see obs.Scope). Per-run totals flush at run end; only loss
-	// and recovery events report per event, so the ~100ns far-exchange
-	// hot path stays atomic-free.
-	Obs *obs.Scope
 }
 
+// roundsFactor scales the fixed round budget ceil(roundsFactor·m·
+// ln(m/ε_r)) used by StopFixedBudget and as the oracle-mode safety cap.
+const roundsFactor = 4
+
 func (o RecursiveOptions) withDefaults() RecursiveOptions {
-	if o.Eps <= 0 {
-		o.Eps = 1e-4
+	if o.Stop.TargetErr <= 0 {
+		o.Stop.TargetErr = 1e-4
 	}
 	if o.EpsDecayFactor <= 0 {
 		o.EpsDecayFactor = 4
@@ -161,19 +119,13 @@ func (o RecursiveOptions) withDefaults() RecursiveOptions {
 	if o.Beta == 0 {
 		o.Beta = DefaultBeta
 	}
-	if o.RoundsFactor <= 0 {
-		o.RoundsFactor = 4
-	}
-	if o.Stop == 0 {
-		o.Stop = StopOracle
+	if o.Rounds == 0 {
+		o.Rounds = StopOracle
 	}
 	if o.Leaf == 0 {
 		o.Leaf = LeafSimulated
 	}
-	if o.Recovery == 0 {
-		o.Recovery = routing.RecoveryBFS
-	}
-	if o.RecordEvery <= 0 {
+	if o.RecordEvery == 0 {
 		o.RecordEvery = 16
 	}
 	return o
@@ -246,9 +198,8 @@ func RunRecursive(g *graph.Graph, h *hier.Hierarchy, x []float64, opt RecursiveO
 	if g.N() == 0 {
 		return &Result{Result: sim.EmptyResult(name)}, nil
 	}
-	spec, err := opt.faultSpec()
-	if err != nil {
-		return nil, err
+	if opt.Parallel.Enabled() {
+		return nil, fmt.Errorf("core: Parallel is not supported by the recursive engine (round-structured exchanges are global)")
 	}
 	st := opt.State
 	if st == nil {
@@ -257,10 +208,8 @@ func RunRecursive(g *graph.Graph, h *hier.Hierarchy, x []float64, opt RecursiveO
 	// Re-elections (under Recover) write to the state's representative
 	// view, never to the shared hierarchy build; bind also resets the
 	// view and the copy-on-write repair table for this run.
-	st.bind(g, h, opt.Recovery, opt.Routes)
-	st.tline.Reset(spec.HasTransport())
-	ch, err := spec.BuildWith(&st.ch, g.N(), st.faultEnv(g, h, spec, opt.Obs, opt.Tracer),
-		st.stream(&st.lossRNG, r, "loss"), st.stream(&st.churnRNG, r, "churn"))
+	st.bind(g, h, opt.Routes)
+	ch, err := sim.BuildMedium(&st.ch, &st.tline, opt.RunEnv, g, h, st.stream(&st.lossRNG, r, "loss"), st.stream(&st.churnRNG, r, "churn"))
 	if err != nil {
 		return nil, err
 	}
@@ -287,13 +236,13 @@ func RunRecursive(g *graph.Graph, h *hier.Hierarchy, x []float64, opt RecursiveO
 	// A start at (numerical) consensus needs no work; the threshold keeps
 	// float residue in Norm0 from demanding impossible absolute targets.
 	if e.scale0 > 1e-12*(math.Abs(e.tracker.Mean())+1) {
-		e.avg(h.Root(), opt.Eps)
+		e.avg(h.Root(), opt.Stop.TargetErr)
 	}
 	e.tracker.Resync()
 	finalErr := e.tracker.Err()
 	atConsensus := e.scale0 <= 1e-12*(math.Abs(e.tracker.Mean())+1)
 	e.curve.Record(e.res.FarExchanges, e.counter.Total(), finalErr)
-	converged := finalErr <= opt.Eps || atConsensus
+	converged := finalErr <= opt.Stop.TargetErr || atConsensus
 	// This engine has no harness, so it flushes its run totals itself:
 	// category counts, the far-exchange count (bulk, keeping the exchange
 	// hot path atomic-free), and convergence. Ticks = far exchanges, the
@@ -322,45 +271,6 @@ func RunRecursive(g *graph.Graph, h *hier.Hierarchy, x []float64, opt RecursiveO
 	// run's reset cannot touch the caller's counters.
 	res := e.res
 	return &res, nil
-}
-
-// faultEnv assembles the network context spatial, targeted and transport
-// fault models bind to: positions always, the state's timeline plus the
-// run's observability hooks for delay/arq wrappers, and hierarchy
-// representatives and the degree order only when the spec asks for them.
-func (st *RunState) faultEnv(g *graph.Graph, h *hier.Hierarchy, spec channel.Spec, scope *obs.Scope, tracer trace.Tracer) channel.Env {
-	env := channel.Env{Points: g.Points(), Timeline: &st.tline, Obs: scope, Tracer: tracer}
-	if spec.TargetsReps() {
-		env.Reps = h.Reps()
-	}
-	if spec.TargetsHubs() {
-		env.HubOrder = g.ByDegreeDesc()
-	}
-	return env
-}
-
-// faultSpec folds a legacy LossRate shorthand into a fault spec and
-// validates the result (shared by the recursive and async engines).
-func faultSpec(lossRate float64, faults channel.Spec) (channel.Spec, error) {
-	spec := faults
-	if lossRate != 0 {
-		if lossRate < 0 || lossRate > 1 {
-			return spec, fmt.Errorf("core: loss rate %v outside [0, 1]", lossRate)
-		}
-		if spec.Loss != channel.LossNone {
-			return spec, fmt.Errorf("core: LossRate and Faults both select a loss model")
-		}
-		spec.Loss = channel.LossBernoulli
-		spec.LossRate = lossRate
-	}
-	if err := spec.Validate(); err != nil {
-		return spec, err
-	}
-	return spec, nil
-}
-
-func (o RecursiveOptions) faultSpec() (channel.Spec, error) {
-	return faultSpec(o.LossRate, o.Faults)
 }
 
 func algorithmName(opt RecursiveOptions, h *hier.Hierarchy) string {
@@ -447,7 +357,7 @@ func (e *engine) avg(sq *hier.Square, eps float64) {
 			e.avg(c, epsNext)
 		}
 	}
-	budget := int(math.Ceil(e.opt.RoundsFactor * float64(m) * math.Log(float64(m)/eps)))
+	budget := int(math.Ceil(roundsFactor * float64(m) * math.Log(float64(m)/eps)))
 	target2 := eps * e.scale0 * eps * e.scale0
 	// Divergence guard for the oracle loop. The affine coefficient
 	// Beta·E#[child] contracts only while the induced per-member
@@ -459,7 +369,7 @@ func (e *engine) avg(sq *hier.Square, eps float64) {
 	// and avoids burning the full 4x round cap on a lost cause.
 	var dev0 float64
 	for round := 0; ; round++ {
-		switch e.opt.Stop {
+		switch e.opt.Rounds {
 		case StopOracle:
 			d2 := e.squareDev2(sq)
 			if round == 0 {
@@ -496,7 +406,7 @@ func (e *engine) farExchange(a, b *hier.Square) {
 		return // a square lost all members; nothing to exchange with
 	}
 	ra, rb := e.rep(a), e.rep(b)
-	out := e.rt.RouteToNode(ra, rb, e.opt.Recovery)
+	out := e.rt.RouteToNode(ra, rb, routing.RecoveryBFS)
 	// On success paid is the transport layer's extra airtime
 	// (retransmissions, duplicates); zero without delay/arq.
 	ok, paid := e.ch.DeliverRoundTrip(e.packet(ra, rb, out.Hops))
@@ -514,7 +424,7 @@ func (e *engine) farExchange(a, b *hier.Square) {
 	hops := out.Hops + paid
 	delivered := out.Delivered
 	if delivered {
-		back := e.rt.RouteToNode(rb, ra, e.opt.Recovery)
+		back := e.rt.RouteToNode(rb, ra, routing.RecoveryBFS)
 		hops += back.Hops
 		delivered = back.Delivered
 	}
@@ -539,7 +449,7 @@ func (e *engine) farExchange(a, b *hier.Square) {
 	if e.opt.Tracer != nil {
 		e.opt.Tracer.Record(trace.Event{Kind: trace.KindFar, Square: a.ID, NodeA: ra, NodeB: rb, Hops: hops})
 	}
-	if e.res.FarExchanges%uint64(e.opt.RecordEvery) == 0 {
+	if e.res.FarExchanges%e.opt.RecordEvery == 0 {
 		e.curve.Record(e.res.FarExchanges, e.counter.Total(), e.tracker.Err())
 	}
 }
@@ -578,7 +488,7 @@ func (e *engine) ensureRep(sq *hier.Square) bool {
 	next, changed := e.view.ReelectSquare(sq.ID, e.ch.Alive)
 	if changed {
 		e.res.Reelections++
-		e.st.chargeReelection(sq, e.ch.Alive, e.opt.Recovery, &e.counter, e.opt.Tracer, e.obs)
+		e.st.chargeReelection(sq, e.ch.Alive, &e.counter, e.opt.Tracer, e.obs)
 	}
 	return next >= 0
 }
@@ -592,7 +502,7 @@ func (e *engine) ensureRep(sq *hier.Square) bool {
 // the bridges, not just their route lengths). The view already holds the
 // successor; all scratch is state-owned and reused across elections.
 func (st *RunState) chargeReelection(sq *hier.Square, alive func(int32) bool,
-	rec routing.Recovery, counter *sim.Counter, tracer trace.Tracer, scope *obs.Scope) {
+	counter *sim.Counter, tracer trace.Tracer, scope *obs.Scope) {
 	cost := 0
 	for _, m := range sq.Members {
 		if alive(m) {
@@ -601,7 +511,7 @@ func (st *RunState) chargeReelection(sq *hier.Square, alive func(int32) bool,
 	}
 	counter.Add(sim.CatFlood, cost)
 	if sq.IsLeaf() {
-		st.repairLeafSquareInto(st.mutableRepair(), sq, st.view.Rep(sq.ID), rec)
+		st.repairLeafSquareInto(st.mutableRepair(), sq, st.view.Rep(sq.ID))
 	}
 	scope.Reelection()
 	if tracer != nil {
@@ -652,10 +562,7 @@ func (e *engine) leafAverage(sq *hier.Square, eps float64) {
 		e.fastLeaf(sq, mean, dev2, target)
 		return
 	}
-	maxEx := e.opt.MaxLeafExchanges
-	if maxEx <= 0 {
-		maxEx = 200*l*l + 1000
-	}
+	maxEx := 200*l*l + 1000
 	repair := e.st.repair
 	// charged accumulates the call's total near-plane cost (successful
 	// exchanges plus partial loss charges); the leaf-done event carries it

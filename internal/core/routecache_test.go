@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"geogossip/internal/channel"
 	"geogossip/internal/graph"
 	"geogossip/internal/hier"
 	"geogossip/internal/rng"
@@ -35,9 +36,11 @@ func TestRouteCacheDrawCompat(t *testing.T) {
 		run := func(routes *routing.Cache) (*Result, []float64) {
 			x := append([]float64(nil), base...)
 			res, err := RunRecursive(g, h, x, RecursiveOptions{
-				Eps:      1e-2,
-				LossRate: 0.05,
-				Routes:   routes,
+				RunEnv: sim.RunEnv{
+					Stop:   sim.StopRule{TargetErr: 1e-2},
+					Faults: channel.Spec{Loss: channel.LossBernoulli, LossRate: 0.05},
+					Routes: routes,
+				},
 			}, rng.New(23))
 			if err != nil {
 				t.Fatal(err)
@@ -58,9 +61,11 @@ func TestRouteCacheDrawCompat(t *testing.T) {
 		run := func(routes *routing.Cache) (*AsyncResult, []float64) {
 			x := append([]float64(nil), base...)
 			res, err := RunAsync(g, h, x, AsyncOptions{
-				Stop:     sim.StopRule{TargetErr: 1e-2, MaxTicks: 600_000},
-				LossRate: 0.05,
-				Routes:   routes,
+				RunEnv: sim.RunEnv{
+					Stop:   sim.StopRule{TargetErr: 1e-2, MaxTicks: 600_000},
+					Faults: channel.Spec{Loss: channel.LossBernoulli, LossRate: 0.05},
+					Routes: routes,
+				},
 			}, rng.New(24))
 			if err != nil {
 				t.Fatal(err)
@@ -84,10 +89,12 @@ func TestRouteCacheDrawCompat(t *testing.T) {
 		run := func(routes *routing.Cache) (*AsyncResult, []float64) {
 			x := append([]float64(nil), base...)
 			res, err := RunAsync(g, h, x, AsyncOptions{
-				Stop:    sim.StopRule{TargetErr: 1e-2, MaxTicks: 400_000},
-				Faults:  repChurn(t, "repchurn:60000/30000"),
-				Recover: true,
-				Routes:  routes,
+				RunEnv: sim.RunEnv{
+					Stop:    sim.StopRule{TargetErr: 1e-2, MaxTicks: 400_000},
+					Faults:  repChurn(t, "repchurn:60000/30000"),
+					Recover: true,
+					Routes:  routes,
+				},
 			}, rng.New(25))
 			if err != nil {
 				t.Fatal(err)

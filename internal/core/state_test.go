@@ -45,9 +45,11 @@ func TestPooledStateBitIdenticalRecursive(t *testing.T) {
 	pooled := NewRunState()
 	for _, cfg := range coreStateConfigs {
 		opt := RecursiveOptions{
-			Eps:     5e-2,
-			Faults:  coreSpec(t, cfg.faults),
-			Recover: cfg.recover,
+			RunEnv: sim.RunEnv{
+				Stop:    sim.StopRule{TargetErr: 5e-2},
+				Faults:  coreSpec(t, cfg.faults),
+				Recover: cfg.recover,
+			},
 		}
 		x1 := randomValues(f.g.N(), 931)
 		fresh, err := RunRecursive(f.g, f.h, x1, opt, rng.New(932))
@@ -93,10 +95,11 @@ func TestPooledStateBitIdenticalAsync(t *testing.T) {
 	stop := sim.StopRule{TargetErr: 1e-2, MaxTicks: 3_000_000}
 	for _, cfg := range coreStateConfigs {
 		opt := AsyncOptions{
-			Eps:     1e-2,
-			Faults:  coreSpec(t, cfg.faults),
-			Recover: cfg.recover,
-			Stop:    stop,
+			RunEnv: sim.RunEnv{
+				Faults:  coreSpec(t, cfg.faults),
+				Recover: cfg.recover,
+				Stop:    stop,
+			},
 		}
 		x1 := randomValues(f.g.N(), 941)
 		fresh, err := RunAsync(f.g, f.h, x1, opt, rng.New(942))
@@ -148,11 +151,11 @@ func TestPooledStateInterleavedEngines(t *testing.T) {
 	for round, f := range []fixture{fA, fB, fA, fB} {
 		x1 := randomValues(f.g.N(), uint64(960+round))
 		x2 := randomValues(f.g.N(), uint64(960+round))
-		freshR, err := RunRecursive(f.g, f.h, x1, RecursiveOptions{Eps: 1e-2}, rng.New(970))
+		freshR, err := RunRecursive(f.g, f.h, x1, RecursiveOptions{RunEnv: sim.RunEnv{Stop: sim.StopRule{TargetErr: 1e-2}}}, rng.New(970))
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotR, err := RunRecursive(f.g, f.h, x2, RecursiveOptions{Eps: 1e-2, State: pooled}, rng.New(970))
+		gotR, err := RunRecursive(f.g, f.h, x2, RecursiveOptions{RunEnv: sim.RunEnv{Stop: sim.StopRule{TargetErr: 1e-2}}, State: pooled}, rng.New(970))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,11 +164,11 @@ func TestPooledStateInterleavedEngines(t *testing.T) {
 		}
 		x1 = randomValues(f.g.N(), uint64(980+round))
 		x2 = randomValues(f.g.N(), uint64(980+round))
-		freshA, err := RunAsync(f.g, f.h, x1, AsyncOptions{Eps: 1e-2, Stop: stop}, rng.New(971))
+		freshA, err := RunAsync(f.g, f.h, x1, AsyncOptions{RunEnv: sim.RunEnv{Stop: stop}}, rng.New(971))
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotA, err := RunAsync(f.g, f.h, x2, AsyncOptions{Eps: 1e-2, Stop: stop, State: pooled}, rng.New(971))
+		gotA, err := RunAsync(f.g, f.h, x2, AsyncOptions{RunEnv: sim.RunEnv{Stop: stop}, State: pooled}, rng.New(971))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,10 +185,11 @@ func TestAsyncSteadyStateTicksAllocFree(t *testing.T) {
 	st := NewRunState()
 	x := randomValues(f.g.N(), 991)
 	if _, err := RunAsync(f.g, f.h, x, AsyncOptions{
-		Eps:         1e-2,
-		RecordEvery: math.MaxUint64 >> 1,
-		Stop:        sim.StopRule{MaxTicks: 200_000},
-		State:       st,
+		RunEnv: sim.RunEnv{
+			RecordEvery: math.MaxUint64 >> 1,
+			Stop:        sim.StopRule{MaxTicks: 200_000},
+		},
+		State: st,
 	}, rng.New(992)); err != nil {
 		t.Fatal(err)
 	}
@@ -209,9 +213,11 @@ func TestRecursiveFarExchangeAllocFree(t *testing.T) {
 	st := NewRunState()
 	x := randomValues(f.g.N(), 996)
 	if _, err := RunRecursive(f.g, f.h, x, RecursiveOptions{
-		Eps:         1e-2,
-		RecordEvery: 1 << 40,
-		State:       st,
+		RunEnv: sim.RunEnv{
+			Stop:        sim.StopRule{TargetErr: 1e-2},
+			RecordEvery: 1 << 40,
+		},
+		State: st,
 	}, rng.New(997)); err != nil {
 		t.Fatal(err)
 	}

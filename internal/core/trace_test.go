@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"geogossip/internal/channel"
 	"geogossip/internal/hier"
 	"geogossip/internal/rng"
 	"geogossip/internal/sim"
@@ -14,8 +15,10 @@ func TestRecursiveEmitsTraceEvents(t *testing.T) {
 	buf := trace.NewBuffer(0)
 	x := randomValues(f.g.N(), 471)
 	res, err := RunRecursive(f.g, f.h, x, RecursiveOptions{
-		Eps:    1e-2,
-		Tracer: buf,
+		RunEnv: sim.RunEnv{
+			Stop:   sim.StopRule{TargetErr: 1e-2},
+			Tracer: buf,
+		},
 	}, rng.New(472))
 	if err != nil {
 		t.Fatal(err)
@@ -42,9 +45,11 @@ func TestRecursiveTracesLosses(t *testing.T) {
 	buf := trace.NewBuffer(0)
 	x := randomValues(f.g.N(), 474)
 	res, err := RunRecursive(f.g, f.h, x, RecursiveOptions{
-		Eps:      1e-2,
-		LossRate: 0.3,
-		Tracer:   buf,
+		RunEnv: sim.RunEnv{
+			Stop:   sim.StopRule{TargetErr: 1e-2},
+			Faults: channel.Spec{Loss: channel.LossBernoulli, LossRate: 0.3},
+			Tracer: buf,
+		},
 	}, rng.New(475))
 	if err != nil {
 		t.Fatal(err)
@@ -62,8 +67,10 @@ func TestAsyncEmitsTraceEvents(t *testing.T) {
 	buf := trace.NewBuffer(0)
 	x := randomValues(f.g.N(), 477)
 	res, err := RunAsync(f.g, f.h, x, AsyncOptions{
-		Stop:   sim.StopRule{TargetErr: 5e-2, MaxTicks: 10_000_000},
-		Tracer: buf,
+		RunEnv: sim.RunEnv{
+			Stop:   sim.StopRule{TargetErr: 5e-2, MaxTicks: 10_000_000},
+			Tracer: buf,
+		},
 	}, rng.New(478))
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +91,7 @@ func TestNilTracerIsFree(t *testing.T) {
 	f := newFixture(t, 256, 2.0, 479, hier.Config{})
 	run := func(tr trace.Tracer) uint64 {
 		x := randomValues(f.g.N(), 480)
-		res, err := RunRecursive(f.g, f.h, x, RecursiveOptions{Eps: 1e-2, Tracer: tr}, rng.New(481))
+		res, err := RunRecursive(f.g, f.h, x, RecursiveOptions{RunEnv: sim.RunEnv{Stop: sim.StopRule{TargetErr: 1e-2}, Tracer: tr}}, rng.New(481))
 		if err != nil {
 			t.Fatal(err)
 		}

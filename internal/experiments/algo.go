@@ -5,8 +5,9 @@ import (
 	"math"
 
 	"geogossip/internal/core"
+	"geogossip/internal/engine"
 	"geogossip/internal/geo"
-	"geogossip/internal/gossip"
+	"geogossip/internal/graph"
 	"geogossip/internal/hier"
 	"geogossip/internal/metrics"
 	"geogossip/internal/rng"
@@ -14,6 +15,14 @@ import (
 	"geogossip/internal/stats"
 	"geogossip/internal/table"
 )
+
+// runEngine runs a table engine on fresh state with the shared run
+// environment alone. Experiments call an engine directly only for its
+// ablation knobs or its engine-specific result counters.
+func runEngine(name string, g *graph.Graph, h *hier.Hierarchy, x []float64, env sim.RunEnv, seed uint64) (engine.Result, error) {
+	eng, _ := engine.Lookup(name)
+	return eng.Run(engine.Input{G: g, H: h, X: x, Env: env, States: &engine.States{}, RNG: rng.New(seed)})
+}
 
 // curveXY extracts a (transmissions, error) series from a run for
 // plotting, down-sampled to a plottable size.
@@ -64,11 +73,10 @@ func e1Field(g interface {
 func RunE1Scaling(cfg Config) (*Report, error) {
 	rep := &Report{ID: "E1", Title: "Table 1 — transmission scaling of the three algorithms"}
 	ns := []int{512, 1024, 2048, 4096, 8192}
-	// No affine-only extension beyond 8192: at n=16384 the branching
+	// No affine-only points beyond 8192: at n=16384 the branching
 	// schedule jumps to (144, 16) and the round product K₀·K₁ grows by
 	// another ~50x — the n^{o(1)} polylog factor made concrete. The
-	// deepest depth class keeps >= 3 points without it.
-	var affineExt []int
+	// deepest depth class keeps >= 3 points without them.
 	seeds := 3
 	if cfg.Quick {
 		ns = []int{256, 512, 1024}
@@ -80,25 +88,6 @@ func RunE1Scaling(cfg Config) (*Report, error) {
 	var farExchanges []float64
 	tb := table.New(fmt.Sprintf("Transmissions to relative error %.0e on the worst-case smooth field (geometric mean over %d seeds)", e1Target, seeds),
 		"n", "hierarchy ell", "boyd", "geographic", "affine", "affine far-exchanges")
-	runAffine := func(n int, seed uint64) (txs float64, far uint64, ell int, err error) {
-		g, err := connectedGraph(n, 1.5, seed)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		h, err := hier.Build(g.Points(), hier.Config{})
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		xa := e1Field(g)
-		ra, err := core.RunRecursive(g, h, xa, core.RecursiveOptions{Eps: e1Target}, rng.New(seed+300))
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		if !ra.Converged {
-			return 0, 0, 0, fmt.Errorf("E1: affine n=%d seed=%d did not converge", n, seed)
-		}
-		return float64(ra.Transmissions), ra.FarExchanges, h.Ell, nil
-	}
 	for _, n := range ns {
 		perAlgo := map[string][]float64{}
 		var farEx uint64
@@ -113,12 +102,12 @@ func RunE1Scaling(cfg Config) (*Report, error) {
 			stop := sim.StopRule{TargetErr: e1Target, MaxTicks: 400_000_000}
 
 			xb := append([]float64(nil), x0...)
-			rb, err := gossip.RunBoyd(g, xb, gossip.Options{Stop: stop}, rng.New(seed+100))
+			rb, err := runEngine(engine.Boyd, g, nil, xb, sim.RunEnv{Stop: stop}, seed+100)
 			if err != nil {
 				return nil, err
 			}
 			xg := append([]float64(nil), x0...)
-			rg, err := gossip.RunGeographic(g, xg, gossip.GeoOptions{Options: gossip.Options{Stop: stop}}, rng.New(seed+200))
+			rg, err := runEngine(engine.Geographic, g, nil, xg, sim.RunEnv{Stop: stop}, seed+200)
 			if err != nil {
 				return nil, err
 			}
@@ -126,15 +115,22 @@ func RunE1Scaling(cfg Config) (*Report, error) {
 				return nil, fmt.Errorf("E1: n=%d seed=%d baseline did not converge (boyd=%v geo=%v)",
 					n, seed, rb.Converged, rg.Converged)
 			}
-			txA, far, e, err := runAffine(n, seed)
+			h, err := hier.Build(g.Points(), hier.Config{})
 			if err != nil {
 				return nil, err
 			}
+			ra, err := runEngine(engine.Affine, g, h, append([]float64(nil), x0...), sim.RunEnv{Stop: sim.StopRule{TargetErr: e1Target}}, seed+300)
+			if err != nil {
+				return nil, err
+			}
+			if !ra.Converged {
+				return nil, fmt.Errorf("E1: affine n=%d seed=%d did not converge", n, seed)
+			}
 			perAlgo["boyd"] = append(perAlgo["boyd"], float64(rb.Transmissions))
 			perAlgo["geographic"] = append(perAlgo["geographic"], float64(rg.Transmissions))
-			perAlgo["affine"] = append(perAlgo["affine"], txA)
-			farEx = far
-			ell = e
+			perAlgo["affine"] = append(perAlgo["affine"], float64(ra.Transmissions))
+			farEx = ra.FarExchanges
+			ell = h.Ell
 		}
 		ells = append(ells, ell)
 		farExchanges = append(farExchanges, float64(farEx))
@@ -146,22 +142,6 @@ func RunE1Scaling(cfg Config) (*Report, error) {
 		}
 		row = append(row, fmtU(farEx))
 		tb.AddRow(row...)
-	}
-	// Affine-only extension points (single seed) for the within-depth fit.
-	affNs := append([]int(nil), ns...)
-	affCost := append([]float64(nil), cost["affine"]...)
-	affElls := append([]int(nil), ells...)
-	affFar := append([]float64(nil), farExchanges...)
-	for _, n := range affineExt {
-		txA, far, ell, err := runAffine(n, cfg.seed())
-		if err != nil {
-			return nil, err
-		}
-		affNs = append(affNs, n)
-		affCost = append(affCost, txA)
-		affElls = append(affElls, ell)
-		affFar = append(affFar, float64(far))
-		tb.AddRow(fmtF(float64(n)), fmtF(float64(ell)), "-", "-", fmtF(txA), fmtF(float64(far)))
 	}
 	rep.addTable(tb)
 
@@ -194,11 +174,11 @@ func RunE1Scaling(cfg Config) (*Report, error) {
 	deepest := depthFit{}
 	for ell := 1; ell <= 8; ell++ {
 		var dxs, dys, dfar []float64
-		for i, n := range affNs {
-			if affElls[i] == ell {
+		for i, n := range ns {
+			if ells[i] == ell {
 				dxs = append(dxs, float64(n))
-				dys = append(dys, affCost[i])
-				dfar = append(dfar, affFar[i])
+				dys = append(dys, cost["affine"][i])
+				dfar = append(dfar, farExchanges[i])
 			}
 		}
 		if len(dxs) < 2 {
@@ -221,10 +201,10 @@ func RunE1Scaling(cfg Config) (*Report, error) {
 
 	// The paper's own cost form: tx = C·n·exp(c·(ln ln n)²).
 	var uxs, vys []float64
-	for i, n := range affNs {
+	for i, n := range ns {
 		u := math.Log(math.Log(float64(n)))
 		uxs = append(uxs, u*u)
-		vys = append(vys, math.Log(affCost[i]/float64(n)))
+		vys = append(vys, math.Log(cost["affine"][i]/float64(n)))
 	}
 	modelFit, err := stats.OLS(uxs, vys)
 	if err != nil {
@@ -319,7 +299,7 @@ func RunE9EpsScaling(cfg Config) (*Report, error) {
 	monotone := true
 	for _, eps := range epss {
 		x := append([]float64(nil), x0...)
-		res, err := core.RunRecursive(g, h, x, core.RecursiveOptions{Eps: eps}, rng.New(cfg.seed()+77))
+		res, err := runEngine(engine.Affine, g, h, x, sim.RunEnv{Stop: sim.StopRule{TargetErr: eps}}, cfg.seed()+77)
 		if err != nil {
 			return nil, err
 		}
@@ -379,7 +359,12 @@ func RunE11Stability(cfg Config) (*Report, error) {
 	bestBeta, bestRounds := 0.0, math.Inf(1)
 	for _, beta := range betas {
 		x := append([]float64(nil), x0...)
-		res, err := core.RunRecursive(g, h, x, core.RecursiveOptions{Eps: 1e-3, Beta: beta}, rng.New(cfg.seed()+88))
+		// A direct engine call: the table's Result has no incomplete-
+		// square count.
+		res, err := core.RunRecursive(g, h, x, core.RecursiveOptions{
+			RunEnv: sim.RunEnv{Stop: sim.StopRule{TargetErr: 1e-3}},
+			Beta:   beta,
+		}, rng.New(cfg.seed()+88))
 		if err != nil {
 			return nil, err
 		}
@@ -475,7 +460,7 @@ func RunE12Ablation(cfg Config) (*Report, error) {
 	for _, v := range variants {
 		x := append([]float64(nil), x0...)
 		res, err := core.RunRecursive(g, v.h, x, core.RecursiveOptions{
-			Eps:    eps,
+			RunEnv: sim.RunEnv{Stop: sim.StopRule{TargetErr: eps}},
 			Convex: v.convex,
 		}, rng.New(cfg.seed()+99))
 		if err != nil {
@@ -530,11 +515,10 @@ func RunE13Control(cfg Config) (*Report, error) {
 	var shareHigh float64
 	for _, th := range throttles {
 		x := append([]float64(nil), x0...)
+		// A direct engine call: the table's Result has no overlap count.
 		res, err := core.RunAsync(g, h, x, core.AsyncOptions{
-			Eps:          2e-2,
-			Throttle:     th,
-			RoundsFactor: 2,
-			Stop:         sim.StopRule{TargetErr: 2e-2, MaxTicks: maxTicks},
+			RunEnv:   sim.RunEnv{Stop: sim.StopRule{TargetErr: 2e-2, MaxTicks: maxTicks}},
+			Throttle: th,
 		}, rng.New(cfg.seed()+111))
 		if err != nil {
 			return nil, err
@@ -592,17 +576,17 @@ func RunE14Convergence(cfg Config) (*Report, error) {
 	stop := sim.StopRule{TargetErr: target, MaxTicks: 300_000_000}
 
 	xb := append([]float64(nil), x0...)
-	rb, err := gossip.RunBoyd(g, xb, gossip.Options{Stop: stop}, rng.New(cfg.seed()+100))
+	rb, err := runEngine(engine.Boyd, g, nil, xb, sim.RunEnv{Stop: stop}, cfg.seed()+100)
 	if err != nil {
 		return nil, err
 	}
 	xg := append([]float64(nil), x0...)
-	rg, err := gossip.RunGeographic(g, xg, gossip.GeoOptions{Options: gossip.Options{Stop: stop}}, rng.New(cfg.seed()+200))
+	rg, err := runEngine(engine.Geographic, g, nil, xg, sim.RunEnv{Stop: stop}, cfg.seed()+200)
 	if err != nil {
 		return nil, err
 	}
 	xa := append([]float64(nil), x0...)
-	ra, err := core.RunRecursive(g, h, xa, core.RecursiveOptions{Eps: target, RecordEvery: 4}, rng.New(cfg.seed()+300))
+	ra, err := runEngine(engine.Affine, g, h, xa, sim.RunEnv{Stop: sim.StopRule{TargetErr: target}, RecordEvery: 4}, cfg.seed()+300)
 	if err != nil {
 		return nil, err
 	}
@@ -617,7 +601,7 @@ func RunE14Convergence(cfg Config) (*Report, error) {
 	}
 	tb := table.New(fmt.Sprintf("Transmissions to relative error %.0e at n=%d", target, n),
 		"algorithm", "transmissions", "converged")
-	for _, res := range []*metrics.Result{rb, rg, ra.Result} {
+	for _, res := range []*metrics.Result{rb.Result, rg.Result, ra.Result} {
 		tb.AddRowf(res.Algorithm, res.Transmissions, res.Converged)
 		xs, ys := curveXY(res)
 		plot.Add(res.Algorithm, xs, ys)

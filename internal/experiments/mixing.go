@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 
-	"geogossip/internal/gossip"
+	"geogossip/internal/engine"
 	"geogossip/internal/rng"
 	"geogossip/internal/sim"
 	"geogossip/internal/spectral"
@@ -51,9 +51,8 @@ func RunE16Mixing(cfg Config) (*Report, error) {
 				return row{}, err
 			}
 			x := e1Field(g)
-			res, err := gossip.RunBoyd(g, x, gossip.Options{
-				Stop: sim.StopRule{TargetErr: 1e-2, MaxTicks: 200_000_000},
-			}, rng.New(cfg.seed()+601))
+			res, err := runEngine(engine.Boyd, g, nil, x,
+				sim.RunEnv{Stop: sim.StopRule{TargetErr: 1e-2, MaxTicks: 200_000_000}}, cfg.seed()+601)
 			if err != nil {
 				return row{}, err
 			}

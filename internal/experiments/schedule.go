@@ -6,6 +6,7 @@ import (
 	"geogossip/internal/core"
 	"geogossip/internal/hier"
 	"geogossip/internal/rng"
+	"geogossip/internal/sim"
 	"geogossip/internal/table"
 )
 
@@ -40,7 +41,7 @@ func RunE15EpsSchedule(cfg Config) (*Report, error) {
 	for _, k := range kappas {
 		x := append([]float64(nil), x0...)
 		res, err := core.RunRecursive(g, h, x, core.RecursiveOptions{
-			Eps:            eps,
+			RunEnv:         sim.RunEnv{Stop: sim.StopRule{TargetErr: eps}},
 			EpsDecayFactor: k,
 		}, rng.New(cfg.seed()+55))
 		if err != nil {

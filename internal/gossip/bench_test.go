@@ -34,9 +34,11 @@ func benchValues(n int, seed uint64) []float64 {
 // tracks them with allocs — the steady-state contract is 0 allocs/op).
 func steadyOptions() Options {
 	return Options{
-		Stop:        sim.StopRule{MaxTicks: math.MaxUint64 >> 1},
-		RecordEvery: math.MaxUint64 >> 1,
-		State:       NewRunState(),
+		RunEnv: sim.RunEnv{
+			Stop:        sim.StopRule{MaxTicks: math.MaxUint64 >> 1},
+			RecordEvery: math.MaxUint64 >> 1,
+		},
+		State: NewRunState(),
 	}
 }
 
@@ -63,7 +65,7 @@ func BenchmarkBoydSteadyTick(b *testing.B) {
 func BenchmarkGeographicSteadyTick(b *testing.B) {
 	g := benchGraph(b, 2048)
 	opt := GeoOptions{Options: steadyOptions(), Sampling: SamplingRejection}
-	e, err := newGeoRun(g, benchValues(g.N(), 4), opt.withDefaults(), rng.New(5))
+	e, err := newGeoRun(g, benchValues(g.N(), 4), opt, rng.New(5))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -125,7 +127,7 @@ func BenchmarkBoydSteadyTickInstrumented(b *testing.B) {
 func BenchmarkGeographicSteadyTickInstrumented(b *testing.B) {
 	g := benchGraph(b, 2048)
 	opt := GeoOptions{Options: instrumentedSteadyOptions("geographic"), Sampling: SamplingRejection}
-	e, err := newGeoRun(g, benchValues(g.N(), 4), opt.withDefaults(), rng.New(5))
+	e, err := newGeoRun(g, benchValues(g.N(), 4), opt, rng.New(5))
 	if err != nil {
 		b.Fatal(err)
 	}

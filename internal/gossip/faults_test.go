@@ -34,8 +34,10 @@ func TestBoydAtomicUnderBurstLoss(t *testing.T) {
 	x := randomValues(g.N(), 501)
 	sum0 := sumOf(x)
 	res, err := RunBoyd(g, x, Options{
-		Stop:   sim.StopRule{TargetErr: 1e-2, MaxTicks: 10_000_000},
-		Faults: burstFaults(),
+		RunEnv: sim.RunEnv{
+			Stop:   sim.StopRule{TargetErr: 1e-2, MaxTicks: 10_000_000},
+			Faults: burstFaults(),
+		},
 	}, rng.New(502))
 	if err != nil {
 		t.Fatal(err)
@@ -54,8 +56,10 @@ func TestGeographicAtomicUnderBurstLoss(t *testing.T) {
 	sum0 := sumOf(x)
 	res, err := RunGeographic(g, x, GeoOptions{
 		Options: Options{
-			Stop:   sim.StopRule{TargetErr: 1e-2, MaxTicks: 3_000_000},
-			Faults: burstFaults(),
+			RunEnv: sim.RunEnv{
+				Stop:   sim.StopRule{TargetErr: 1e-2, MaxTicks: 3_000_000},
+				Faults: burstFaults(),
+			},
 		},
 	}, rng.New(505))
 	if err != nil {
@@ -82,8 +86,10 @@ func TestBoydSumInvariantUnderChurnAndLoss(t *testing.T) {
 		Churn:    channel.ChurnParams{MeanUp: 200_000, MeanDown: 50_000},
 	}
 	res, err := RunBoyd(g, x, Options{
-		Stop:   sim.StopRule{MaxTicks: 1_000_000},
-		Faults: spec,
+		RunEnv: sim.RunEnv{
+			Stop:   sim.StopRule{MaxTicks: 1_000_000},
+			Faults: spec,
+		},
 	}, rng.New(508))
 	if err != nil {
 		t.Fatal(err)
@@ -106,8 +112,10 @@ func TestBoydSurvivorDriftUnderChurn(t *testing.T) {
 	x := randomValues(g.N(), 510)
 	mean := meanOf(x)
 	res, err := RunBoyd(g, x, Options{
-		Stop:   sim.StopRule{MaxTicks: 3_000_000},
-		Faults: channel.Spec{Churn: channel.ChurnParams{MeanUp: 3_000_000}},
+		RunEnv: sim.RunEnv{
+			Stop:   sim.StopRule{MaxTicks: 3_000_000},
+			Faults: channel.Spec{Churn: channel.ChurnParams{MeanUp: 3_000_000}},
+		},
 	}, rng.New(511))
 	if err != nil {
 		t.Fatal(err)
@@ -156,11 +164,13 @@ func TestPushSumMassConservedUnderChurn(t *testing.T) {
 	} {
 		xs := append([]float64(nil), x...)
 		_, s, w, err := RunPushSumState(g, xs, Options{
-			Stop: sim.StopRule{MaxTicks: 1_000_000},
-			Faults: channel.Spec{
-				Loss:     channel.LossBernoulli,
-				LossRate: 0.15,
-				Churn:    churn,
+			RunEnv: sim.RunEnv{
+				Stop: sim.StopRule{MaxTicks: 1_000_000},
+				Faults: channel.Spec{
+					Loss:     channel.LossBernoulli,
+					LossRate: 0.15,
+					Churn:    churn,
+				},
 			},
 		}, rng.New(514))
 		if err != nil {
@@ -185,9 +195,11 @@ func TestPushSumRecoversTrueMeanAfterRevival(t *testing.T) {
 	x := randomValues(g.N(), 516)
 	mean := meanOf(x)
 	res, err := RunPushSum(g, x, Options{
-		Stop: sim.StopRule{TargetErr: 1e-3, MaxTicks: 20_000_000},
-		Faults: channel.Spec{
-			Churn: channel.ChurnParams{MeanUp: 100_000, MeanDown: 20_000},
+		RunEnv: sim.RunEnv{
+			Stop: sim.StopRule{TargetErr: 1e-3, MaxTicks: 20_000_000},
+			Faults: channel.Spec{
+				Churn: channel.ChurnParams{MeanUp: 100_000, MeanDown: 20_000},
+			},
 		},
 	}, rng.New(517))
 	if err != nil {

@@ -18,57 +18,25 @@ package gossip
 import (
 	"fmt"
 
-	"geogossip/internal/channel"
 	"geogossip/internal/geo"
 	"geogossip/internal/graph"
 	"geogossip/internal/metrics"
-	"geogossip/internal/obs"
 	"geogossip/internal/rng"
 	"geogossip/internal/routing"
 	"geogossip/internal/sim"
 	"geogossip/internal/trace"
 )
 
-// Options configures a baseline run.
+// Options configures a baseline run: the shared run environment plus an
+// optional pooled run state. Of RunEnv: RecordEvery zero selects n;
+// fault schedules run in clock ticks and rep-targeted churn is rejected
+// (no hierarchy); Routes is ignored (boyd and push-sum never route,
+// geographic routes uncached); Recover enables restart-from-neighbour
+// resync for boyd and geographic (see resyncState) and push-sum ignores
+// it; Parallel runs boyd and push-sum on the sharded tick schedule
+// (parallel.go) and geographic rejects it.
 type Options struct {
-	// Stop bundles the termination conditions.
-	Stop sim.StopRule
-	// RecordEvery samples the convergence curve every RecordEvery ticks.
-	// Zero selects n (≈ once per unit of simulated time).
-	RecordEvery uint64
-	// LossRate is the probability that a data packet (or, for multi-hop
-	// routes, a route leg) is lost — shorthand for a Bernoulli fault
-	// model in Faults. A lost exchange still pays for the transmissions
-	// made before the loss but applies no update, and updates commit
-	// atomically per pair, so the sum invariant survives arbitrary loss.
-	// Zero disables loss and leaves runs byte-identical to pre-loss
-	// behaviour. Setting both LossRate and a loss model in Faults is an
-	// error.
-	LossRate float64
-	// Faults selects the radio fault model (loss process, spatial
-	// jamming fields, partition cuts and/or node churn). The zero Spec is
-	// the perfect medium. Rep-targeted churn is rejected: these engines
-	// have no hierarchy.
-	Faults channel.Spec
-	// Routes optionally supplies a deterministic route/flood cache bound
-	// to the run's graph (see routing.Cache). Routing is a pure function
-	// of the immutable graph, so caching cannot change any result — but
-	// geographic gossip routes between uniformly random endpoints, whose
-	// (src, dst) pairs essentially never recur (the memoization
-	// pathology DESIGN.md §6 documents), so nil selects the uncached
-	// zero-alloc path rather than a private cache. Only geographic
-	// routes packets; the single-hop engines (boyd, push-sum) ignore
-	// this field.
-	Routes *routing.Cache
-	// Resync enables restart-from-neighbor state recovery: a node whose
-	// clock fires after it revived from a crash first pulls the current
-	// estimate from a random live neighbour (2 transmissions) before
-	// resuming the protocol, so long-dead nodes rejoin near the working
-	// consensus instead of dragging their stale pre-crash value back in.
-	// Off by default — enabling it changes the draw sequence, and exact
-	// sum preservation is traded for convergence under churn (push-sum
-	// ignores it: mass-conservation bookkeeping already survives churn).
-	Resync bool
+	sim.RunEnv
 	// State optionally supplies a reusable run state (harness, channel
 	// pool, RNG streams, scratch slices), so repeat runs — the sweep
 	// engine pools one per worker — perform O(1) state allocations
@@ -76,45 +44,7 @@ type Options struct {
 	// fresh private state. Reuse cannot change results: a pooled run is
 	// draw- and result-identical to a fresh one (see RunState).
 	State *RunState
-	// Parallel, when enabled, executes ticks on the deterministic sharded
-	// schedule of DESIGN.md §9: bit-identical to itself at any worker
-	// count, but a different interleaving than the serial schedule, so it
-	// defaults off to keep every existing fingerprint byte-identical.
-	// Requires the perfect medium; boyd and push-sum only.
-	Parallel Parallel
-	// Tracer, when non-nil, receives structured protocol events (near
-	// and far exchanges, losses, resyncs, churn transitions).
-	Tracer trace.Tracer
-	// Obs, when non-nil, receives metrics through the label-free fast
-	// path (see obs.Scope). Nil costs nothing.
-	Obs *obs.Scope
 }
-
-// faultSpec folds the legacy LossRate shorthand into the fault spec and
-// validates the result.
-func (o Options) faultSpec() (channel.Spec, error) {
-	spec := o.Faults
-	if o.LossRate != 0 {
-		if o.LossRate < 0 || o.LossRate > 1 {
-			return spec, fmt.Errorf("gossip: loss rate %v outside [0, 1]", o.LossRate)
-		}
-		if spec.Loss != channel.LossNone {
-			return spec, fmt.Errorf("gossip: LossRate and Faults both select a loss model")
-		}
-		spec.Loss = channel.LossBernoulli
-		spec.LossRate = o.LossRate
-	}
-	if err := spec.Validate(); err != nil {
-		return spec, err
-	}
-	return spec, nil
-}
-
-// The run's radio channel is built by RunState.medium over the engine's
-// deterministic streams: losses draw from "loss", churn schedules from
-// "churn". The graph supplies the spatial and degree context
-// geometry-aware fault models bind to; rep-targeted specs fail there (no
-// hierarchy).
 
 // boydRun is the per-run state of the boyd engine, factored out so the
 // loop body (step) can be driven and alloc-asserted in isolation and the
@@ -134,13 +64,10 @@ func newBoydRun(g *graph.Graph, x []float64, opt Options, r *rng.RNG) (*boydRun,
 		return nil, err
 	}
 	st.h.Reset(x, sim.HarnessConfig{
-		Stop:        opt.Stop,
-		RecordEvery: opt.RecordEvery,
-		Medium:      medium,
-		Points:      g.Points(),
-		Tracer:      opt.Tracer,
-		Obs:         opt.Obs,
-		Timeline:    &st.tline,
+		RunEnv:   opt.RunEnv,
+		Medium:   medium,
+		Points:   g.Points(),
+		Timeline: &st.tline,
 	}, st.stream(&st.clockRNG, r, "clock"))
 	e := &st.boyd
 	*e = boydRun{
@@ -225,7 +152,7 @@ type resyncState struct {
 func (rs *resyncState) reset(opt Options, st *RunState, n int) {
 	rs.count = 0
 	rs.wasDead = nil
-	if opt.Resync && opt.Faults.HasChurn() && opt.Faults.Churn.MeanDown > 0 {
+	if opt.Recover && opt.Faults.HasChurn() && opt.Faults.Churn.MeanDown > 0 {
 		st.wasDead = sim.GrowBool(st.wasDead, n)
 		rs.wasDead = st.wasDead
 	}
@@ -302,24 +229,6 @@ type GeoOptions struct {
 	// Sampling selects the partner mechanism; zero selects
 	// SamplingRejection.
 	Sampling Sampling
-	// MaxAttempts caps rejection re-targets per exchange; zero selects 10.
-	MaxAttempts int
-	// Recovery selects stall handling for node-addressed return routes;
-	// zero selects routing.RecoveryBFS.
-	Recovery routing.Recovery
-}
-
-func (o GeoOptions) withDefaults() GeoOptions {
-	if o.Sampling == 0 {
-		o.Sampling = SamplingRejection
-	}
-	if o.MaxAttempts == 0 {
-		o.MaxAttempts = 10
-	}
-	if o.Recovery == 0 {
-		o.Recovery = routing.RecoveryBFS
-	}
-	return o
 }
 
 // TargetSampler draws long-range partners for a source node, charging the
@@ -344,22 +253,15 @@ type TargetSampler struct {
 const rejectionKappa = 0.5
 
 // NewTargetSampler builds a sampler over g with a private uncached
-// routing core (sampled targets are random, so memoization cannot hit;
-// see Options.Routes).
+// routing core (sampled targets are random, so memoization cannot hit).
+// maxAttempts caps rejection re-targets per exchange; zero selects 10.
 func NewTargetSampler(g *graph.Graph, mode Sampling, maxAttempts int) *TargetSampler {
-	return NewTargetSamplerRouter(routing.NewRouter(g, routing.NoCache()), mode, maxAttempts)
-}
-
-// NewTargetSamplerRouter builds a sampler that routes through rt, so a
-// run's sampler and return routes share one memoized routing core.
-func NewTargetSamplerRouter(rt *routing.Router, mode Sampling, maxAttempts int) *TargetSampler {
 	ts := &TargetSampler{}
 	var accept []float64
-	g := rt.Graph()
 	if mode == SamplingRejection && g.N() > 0 {
 		accept = rejectionAccept(g, make([]float64, g.N()))
 	}
-	ts.reset(rt, mode, maxAttempts, accept)
+	ts.reset(routing.NewRouter(g, routing.NoCache()), mode, maxAttempts, accept)
 	return ts
 }
 
@@ -438,7 +340,6 @@ type geoRun struct {
 	h       *sim.Harness
 	sampler *TargetSampler
 	sample  *rng.RNG
-	rec     routing.Recovery
 	resync  resyncState
 }
 
@@ -448,33 +349,26 @@ func newGeoRun(g *graph.Graph, x []float64, opt GeoOptions, r *rng.RNG) (*geoRun
 	if err != nil {
 		return nil, err
 	}
-	routes := opt.Routes
-	if routes == nil {
-		// Geographic routes target uniformly random partners: memoizing
-		// them would grow toward n² entries with near-zero reuse, so the
-		// default is the uncached (still zero-alloc) fast path — one
-		// state-owned disabled cache, reused across runs.
-		if st.noCache == nil {
-			st.noCache = routing.NoCache()
-		}
-		routes = st.noCache
+	// Geographic routes target uniformly random partners: memoizing them
+	// would grow toward n² entries with near-zero reuse, so the run takes
+	// the uncached (still zero-alloc) fast path — one state-owned
+	// disabled cache, reused across runs — whatever RunEnv.Routes holds.
+	if st.noCache == nil {
+		st.noCache = routing.NoCache()
 	}
-	st.router.Reset(g, routes)
+	st.router.Reset(g, st.noCache)
 	st.h.Reset(x, sim.HarnessConfig{
-		Stop:        opt.Stop,
-		RecordEvery: opt.RecordEvery,
-		Medium:      medium,
-		Points:      g.Points(),
-		Router:      &st.router,
-		Tracer:      opt.Tracer,
-		Obs:         opt.Obs,
-		Timeline:    &st.tline,
+		RunEnv:   opt.RunEnv,
+		Medium:   medium,
+		Points:   g.Points(),
+		Router:   &st.router,
+		Timeline: &st.tline,
 	}, st.stream(&st.clockRNG, r, "clock"))
 	var accept []float64
 	if opt.Sampling == SamplingRejection {
 		accept = st.accept(g)
 	}
-	st.sampler.reset(&st.router, opt.Sampling, opt.MaxAttempts, accept)
+	st.sampler.reset(&st.router, opt.Sampling, 0, accept)
 	e := &st.geo
 	*e = geoRun{
 		g:       g,
@@ -482,7 +376,6 @@ func newGeoRun(g *graph.Graph, x []float64, opt GeoOptions, r *rng.RNG) (*geoRun
 		h:       &st.h,
 		sampler: &st.sampler,
 		sample:  st.stream(&st.sampleRNG, r, "sample"),
-		rec:     opt.Recovery,
 	}
 	e.resync.reset(opt.Options, st, g.N())
 	return e, nil
@@ -514,7 +407,7 @@ func (e *geoRun) step() {
 		// delivered legs; lost legs are accounted by their loss events.
 		total := hops + paid
 		if target != s {
-			back := h.Router.RouteToNode(target, s, e.rec)
+			back := h.Router.RouteToNode(target, s, routing.RecoveryBFS)
 			if ok, paid := h.Medium.DeliverRoute(h.Packet(target, s, back.Hops)); !ok {
 				// Return leg lost: partial cost, no commit.
 				h.Counter.Add(sim.CatFar, paid)
@@ -546,6 +439,9 @@ func RunGeographic(g *graph.Graph, x []float64, opt GeoOptions, r *rng.RNG) (*me
 	if g.N() != len(x) {
 		return nil, fmt.Errorf("gossip: %d nodes but %d values", g.N(), len(x))
 	}
+	if opt.Sampling == 0 {
+		opt.Sampling = SamplingRejection
+	}
 	name := "geographic-" + opt.Sampling.String()
 	if g.N() == 0 {
 		return sim.EmptyResult(name), nil
@@ -553,8 +449,6 @@ func RunGeographic(g *graph.Graph, x []float64, opt GeoOptions, r *rng.RNG) (*me
 	if opt.Parallel.Enabled() {
 		return nil, fmt.Errorf("gossip: Parallel is not supported by geographic gossip (routed exchanges are global)")
 	}
-	opt = opt.withDefaults()
-	name = "geographic-" + opt.Sampling.String()
 	e, err := newGeoRun(g, x, opt, r)
 	if err != nil {
 		return nil, err

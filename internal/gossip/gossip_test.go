@@ -43,7 +43,7 @@ func TestRunBoydConverges(t *testing.T) {
 	g := generate(t, 300, 2.0, 80)
 	x := randomValues(g.N(), 81)
 	mean := meanOf(x)
-	res, err := RunBoyd(g, x, Options{Stop: sim.StopRule{TargetErr: 1e-3, MaxTicks: 2_000_000}}, rng.New(82))
+	res, err := RunBoyd(g, x, Options{RunEnv: sim.RunEnv{Stop: sim.StopRule{TargetErr: 1e-3, MaxTicks: 2_000_000}}}, rng.New(82))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestRunBoydDeterministic(t *testing.T) {
 	g := generate(t, 200, 2.0, 84)
 	run := func() *metrics.Result {
 		x := randomValues(g.N(), 85)
-		res, err := RunBoyd(g, x, Options{Stop: sim.StopRule{TargetErr: 1e-2, MaxTicks: 500_000}}, rng.New(86))
+		res, err := RunBoyd(g, x, Options{RunEnv: sim.RunEnv{Stop: sim.StopRule{TargetErr: 1e-2, MaxTicks: 500_000}}}, rng.New(86))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func TestRunBoydDeterministic(t *testing.T) {
 func TestRunBoydRespectsMaxTicks(t *testing.T) {
 	g := generate(t, 100, 2.0, 87)
 	x := randomValues(g.N(), 88)
-	res, err := RunBoyd(g, x, Options{Stop: sim.StopRule{TargetErr: 1e-12, MaxTicks: 1000}}, rng.New(89))
+	res, err := RunBoyd(g, x, Options{RunEnv: sim.RunEnv{Stop: sim.StopRule{TargetErr: 1e-12, MaxTicks: 1000}}}, rng.New(89))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestRunGeographicConvergesBothSamplings(t *testing.T) {
 			x := randomValues(g.N(), 91)
 			mean := meanOf(x)
 			res, err := RunGeographic(g, x, GeoOptions{
-				Options:  Options{Stop: sim.StopRule{TargetErr: 1e-3, MaxTicks: 200_000}},
+				Options:  Options{RunEnv: sim.RunEnv{Stop: sim.StopRule{TargetErr: 1e-3, MaxTicks: 200_000}}},
 				Sampling: mode,
 			}, rng.New(92))
 			if err != nil {
@@ -161,12 +161,12 @@ func TestGeographicBeatsBoydOnTransmissions(t *testing.T) {
 		g := generate(t, 2000, 1.5, seed)
 		xB := randomValues(g.N(), seed+10)
 		xG := append([]float64(nil), xB...)
-		resB, err := RunBoyd(g, xB, Options{Stop: sim.StopRule{TargetErr: target, MaxTicks: 100_000_000}}, rng.New(seed+20))
+		resB, err := RunBoyd(g, xB, Options{RunEnv: sim.RunEnv{Stop: sim.StopRule{TargetErr: target, MaxTicks: 100_000_000}}}, rng.New(seed+20))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resG, err := RunGeographic(g, xG, GeoOptions{
-			Options:  Options{Stop: sim.StopRule{TargetErr: target, MaxTicks: 100_000_000}},
+			Options:  Options{RunEnv: sim.RunEnv{Stop: sim.StopRule{TargetErr: target, MaxTicks: 100_000_000}}},
 			Sampling: SamplingUniformNode,
 		}, rng.New(seed+30))
 		if err != nil {
@@ -284,7 +284,7 @@ func TestRunGeographicDefaults(t *testing.T) {
 	g := generate(t, 100, 2.0, 106)
 	x := randomValues(g.N(), 107)
 	res, err := RunGeographic(g, x, GeoOptions{
-		Options: Options{Stop: sim.StopRule{TargetErr: 0.5, MaxTicks: 50_000}},
+		Options: Options{RunEnv: sim.RunEnv{Stop: sim.StopRule{TargetErr: 0.5, MaxTicks: 50_000}}},
 	}, rng.New(108))
 	if err != nil {
 		t.Fatal(err)
@@ -305,8 +305,10 @@ func TestCurvesRecordProgress(t *testing.T) {
 	g := generate(t, 200, 2.0, 110)
 	x := randomValues(g.N(), 111)
 	res, err := RunBoyd(g, x, Options{
-		Stop:        sim.StopRule{TargetErr: 1e-3, MaxTicks: 2_000_000},
-		RecordEvery: 100,
+		RunEnv: sim.RunEnv{
+			Stop:        sim.StopRule{TargetErr: 1e-3, MaxTicks: 2_000_000},
+			RecordEvery: 100,
+		},
 	}, rng.New(112))
 	if err != nil {
 		t.Fatal(err)

@@ -14,8 +14,10 @@ func TestBoydConvergesUnderLoss(t *testing.T) {
 	x := randomValues(g.N(), 401)
 	mean := meanOf(x)
 	res, err := RunBoyd(g, x, Options{
-		Stop:     sim.StopRule{TargetErr: 1e-2, MaxTicks: 5_000_000},
-		LossRate: 0.3,
+		RunEnv: sim.RunEnv{
+			Stop:   sim.StopRule{TargetErr: 1e-2, MaxTicks: 5_000_000},
+			Faults: channel.Spec{Loss: channel.LossBernoulli, LossRate: 0.3},
+		},
 	}, rng.New(402))
 	if err != nil {
 		t.Fatal(err)
@@ -33,8 +35,10 @@ func TestBoydLossInflatesCost(t *testing.T) {
 	run := func(loss float64) uint64 {
 		x := randomValues(g.N(), 404)
 		res, err := RunBoyd(g, x, Options{
-			Stop:     sim.StopRule{TargetErr: 1e-2, MaxTicks: 5_000_000},
-			LossRate: loss,
+			RunEnv: sim.RunEnv{
+				Stop:   sim.StopRule{TargetErr: 1e-2, MaxTicks: 5_000_000},
+				Faults: channel.Spec{Loss: channel.LossBernoulli, LossRate: loss},
+			},
 		}, rng.New(405))
 		if err != nil {
 			t.Fatal(err)
@@ -56,8 +60,10 @@ func TestBoydTotalLossFreezesValues(t *testing.T) {
 	x := randomValues(g.N(), 407)
 	before := append([]float64(nil), x...)
 	res, err := RunBoyd(g, x, Options{
-		Stop:     sim.StopRule{TargetErr: 1e-3, MaxTicks: 10_000},
-		LossRate: 1.0,
+		RunEnv: sim.RunEnv{
+			Stop:   sim.StopRule{TargetErr: 1e-3, MaxTicks: 10_000},
+			Faults: channel.Spec{Loss: channel.LossBernoulli, LossRate: 1.0},
+		},
 	}, rng.New(408))
 	if err != nil {
 		t.Fatal(err)
@@ -83,8 +89,10 @@ func TestZeroLossIdenticalToBaseline(t *testing.T) {
 	run := func(loss float64) (uint64, float64) {
 		x := randomValues(g.N(), 410)
 		res, err := RunBoyd(g, x, Options{
-			Stop:     sim.StopRule{TargetErr: 1e-2, MaxTicks: 2_000_000},
-			LossRate: loss,
+			RunEnv: sim.RunEnv{
+				Stop:   sim.StopRule{TargetErr: 1e-2, MaxTicks: 2_000_000},
+				Faults: channel.Spec{Loss: channel.LossBernoulli, LossRate: loss},
+			},
 		}, rng.New(411))
 		if err != nil {
 			t.Fatal(err)
@@ -104,8 +112,10 @@ func TestGeographicConvergesUnderLoss(t *testing.T) {
 	mean := meanOf(x)
 	res, err := RunGeographic(g, x, GeoOptions{
 		Options: Options{
-			Stop:     sim.StopRule{TargetErr: 1e-2, MaxTicks: 2_000_000},
-			LossRate: 0.25,
+			RunEnv: sim.RunEnv{
+				Stop:   sim.StopRule{TargetErr: 1e-2, MaxTicks: 2_000_000},
+				Faults: channel.Spec{Loss: channel.LossBernoulli, LossRate: 0.25},
+			},
 		},
 	}, rng.New(414))
 	if err != nil {
@@ -122,19 +132,11 @@ func TestGeographicConvergesUnderLoss(t *testing.T) {
 func TestLossRateValidation(t *testing.T) {
 	g := generate(t, 50, 2.5, 416)
 	for _, bad := range []float64{-0.1, 1.5} {
-		if _, err := RunBoyd(g, make([]float64, g.N()), Options{LossRate: bad}, rng.New(1)); err == nil {
+		if _, err := RunBoyd(g, make([]float64, g.N()), Options{RunEnv: sim.RunEnv{Faults: channel.Spec{Loss: channel.LossBernoulli, LossRate: bad}}}, rng.New(1)); err == nil {
 			t.Fatalf("boyd accepted loss rate %v", bad)
 		}
-		if _, err := RunGeographic(g, make([]float64, g.N()), GeoOptions{Options: Options{LossRate: bad}}, rng.New(1)); err == nil {
+		if _, err := RunGeographic(g, make([]float64, g.N()), GeoOptions{Options: Options{RunEnv: sim.RunEnv{Faults: channel.Spec{Loss: channel.LossBernoulli, LossRate: bad}}}}, rng.New(1)); err == nil {
 			t.Fatalf("geographic accepted loss rate %v", bad)
 		}
-	}
-	// LossRate and an explicit Faults loss model together are ambiguous.
-	both := Options{
-		LossRate: 0.1,
-		Faults:   channel.Spec{Loss: channel.LossBernoulli, LossRate: 0.2},
-	}
-	if _, err := RunBoyd(g, make([]float64, g.N()), both, rng.New(1)); err == nil {
-		t.Fatal("boyd accepted LossRate combined with a Faults loss model")
 	}
 }

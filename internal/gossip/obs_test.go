@@ -57,7 +57,7 @@ func TestInstrumentedPooledBitIdentical(t *testing.T) {
 	for _, cfg := range stateConfigs {
 		for _, rn := range runners {
 			label := fmt.Sprintf("%s/%s", rn.name, cfg.name)
-			base := Options{Stop: stop, Faults: parseSpec(t, cfg.faults), Resync: cfg.resync}
+			base := Options{RunEnv: sim.RunEnv{Stop: stop, Faults: parseSpec(t, cfg.faults), Recover: cfg.resync}}
 
 			freshObs := &instrumented{reg: obs.NewRegistry()}
 			fresh, err := rn.run(freshObs.options(rn.name, base), rng.New(905))
@@ -90,8 +90,10 @@ func TestInstrumentedPooledBitIdentical(t *testing.T) {
 func TestInstrumentedRunMatchesBare(t *testing.T) {
 	g := generate(t, 400, 2.0, 930)
 	opt := Options{
-		Stop:   sim.StopRule{TargetErr: 1e-2, MaxTicks: 3_000_000},
-		Faults: parseSpec(t, "bernoulli:0.2"),
+		RunEnv: sim.RunEnv{
+			Stop:   sim.StopRule{TargetErr: 1e-2, MaxTicks: 3_000_000},
+			Faults: parseSpec(t, "bernoulli:0.2"),
+		},
 	}
 	bare, err := RunBoyd(g, randomValues(g.N(), 931), opt, rng.New(932))
 	if err != nil {
@@ -128,11 +130,13 @@ func TestSteadyStateTicksAllocFreeInstrumented(t *testing.T) {
 	g := generate(t, 512, 1.8, 920)
 	reg := obs.NewRegistry()
 	opt := Options{
-		Stop:        sim.StopRule{MaxTicks: math.MaxUint64 >> 1},
-		RecordEvery: math.MaxUint64 >> 1,
-		Faults:      parseSpec(t, "bernoulli:0.2"),
-		State:       NewRunState(),
-		Obs:         reg.Scope("boyd"),
+		RunEnv: sim.RunEnv{
+			Stop:        sim.StopRule{MaxTicks: math.MaxUint64 >> 1},
+			RecordEvery: math.MaxUint64 >> 1,
+			Faults:      parseSpec(t, "bernoulli:0.2"),
+			Obs:         reg.Scope("boyd"),
+		},
+		State: NewRunState(),
 	}
 
 	x := randomValues(g.N(), 921)
@@ -151,7 +155,7 @@ func TestSteadyStateTicksAllocFreeInstrumented(t *testing.T) {
 	geoOpt := GeoOptions{Options: opt, Sampling: SamplingRejection}
 	geoOpt.State = NewRunState()
 	geoOpt.Obs = reg.Scope("geographic")
-	geo, err := newGeoRun(g, x, geoOpt.withDefaults(), rng.New(924))
+	geo, err := newGeoRun(g, x, geoOpt, rng.New(924))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,9 +11,8 @@ import (
 	"geogossip/internal/sim"
 )
 
-// Parallel configures deterministic sharded tick execution (DESIGN.md
-// §9); it is sim.Parallel, shared with the async engine's sweep knob.
-// The zero value disables it, leaving every engine on the serial
+// Sharded tick execution (DESIGN.md §9), enabled by RunEnv.Parallel. The
+// zero sim.Parallel disables it, leaving every engine on the serial
 // draw-compatible schedule — the default-off rule that keeps all
 // pre-existing fingerprints byte-identical.
 //
@@ -35,23 +34,18 @@ import (
 //
 // Parallel mode requires the perfect medium: loss and churn draw from
 // shared per-run streams whose draw order a sharded schedule cannot
-// preserve, so combining Parallel with faults, Resync or a Tracer is
+// preserve, so combining Parallel with faults, Recover or a Tracer is
 // rejected. Boyd and push-sum honour it; geographic gossip (whose routed
 // exchanges are global by nature) rejects it.
-type Parallel = sim.Parallel
-
-// DefaultShards re-exports sim.DefaultShards for callers configuring
-// gossip runs.
-const DefaultShards = sim.DefaultShards
 
 // parallelGate rejects option combinations the sharded schedule cannot
 // execute deterministically.
 func (o Options) parallelGate() error {
-	if o.LossRate != 0 || !o.Faults.IsZero() {
-		return fmt.Errorf("gossip: Parallel requires the perfect medium (no loss, jamming or churn)")
+	if !o.Faults.IsZero() {
+		return fmt.Errorf("gossip: Parallel requires the perfect medium (no loss, jamming, churn or transport)")
 	}
-	if o.Resync {
-		return fmt.Errorf("gossip: Parallel cannot be combined with Resync")
+	if o.Recover {
+		return fmt.Errorf("gossip: Parallel cannot be combined with Recover")
 	}
 	if o.Tracer != nil {
 		return fmt.Errorf("gossip: Parallel cannot be combined with a Tracer (event order is schedule-dependent)")
@@ -87,7 +81,7 @@ func (sh *tickShard) resetBlock() {
 // n) contiguous ranges via par.Ranges, each with clock/pick streams
 // reseeded from rng.Derive(DeriveString(seed, "pshard"), shard, role) —
 // the derivation DESIGN.md §9 fixes.
-func (st *RunState) bindShards(p Parallel, n int, r *rng.RNG) []tickShard {
+func (st *RunState) bindShards(p sim.Parallel, n int, r *rng.RNG) []tickShard {
 	s := p.Shards
 	if s > n {
 		s = n
@@ -188,11 +182,9 @@ func runBoydParallel(g *graph.Graph, x []float64, opt Options, r *rng.RNG) (*met
 	p := opt.Parallel.WithDefaults()
 	st := stateOf(opt)
 	st.h.Reset(x, sim.HarnessConfig{
-		Stop:        opt.Stop,
-		RecordEvery: opt.RecordEvery,
-		Medium:      channel.Perfect{},
-		Points:      g.Points(),
-		Obs:         opt.Obs,
+		RunEnv: opt.RunEnv,
+		Medium: channel.Perfect{},
+		Points: g.Points(),
 	}, st.stream(&st.clockRNG, r, "clock"))
 	h := &st.h
 	n := g.N()
@@ -242,11 +234,9 @@ func runPushSumParallel(g *graph.Graph, x []float64, opt Options, r *rng.RNG) (*
 	st.est = sim.GrowFloat(st.est, n)
 	copy(st.est, st.s)
 	st.h.Reset(st.est, sim.HarnessConfig{
-		Stop:        opt.Stop,
-		RecordEvery: opt.RecordEvery,
-		Medium:      channel.Perfect{},
-		Points:      g.Points(),
-		Obs:         opt.Obs,
+		RunEnv: opt.RunEnv,
+		Medium: channel.Perfect{},
+		Points: g.Points(),
 	}, st.stream(&st.clockRNG, r, "clock"))
 	h := &st.h
 	e := &st.push

@@ -44,8 +44,10 @@ func sameFloats(a, b []float64) bool {
 func TestRunBoydParallelWorkerInvariance(t *testing.T) {
 	g := generate(t, 400, 2.0, 610)
 	opt := Options{
-		Stop:     sim.StopRule{TargetErr: 1e-3, MaxTicks: 4_000_000},
-		Parallel: Parallel{Shards: 8},
+		RunEnv: sim.RunEnv{
+			Stop:     sim.StopRule{TargetErr: 1e-3, MaxTicks: 4_000_000},
+			Parallel: sim.Parallel{Shards: 8},
+		},
 	}
 	var refX []float64
 	var refRes any
@@ -89,8 +91,10 @@ func TestRunPushSumParallelWorkerInvariance(t *testing.T) {
 		x := randomValues(g.N(), 621)
 		mean := meanOf(x)
 		res, s, wgt, err := RunPushSumState(g, x, Options{
-			Stop:     sim.StopRule{TargetErr: 1e-3, MaxTicks: 4_000_000},
-			Parallel: Parallel{Shards: 8, Workers: w},
+			RunEnv: sim.RunEnv{
+				Stop:     sim.StopRule{TargetErr: 1e-3, MaxTicks: 4_000_000},
+				Parallel: sim.Parallel{Shards: 8, Workers: w},
+			},
 		}, rng.New(622))
 		if err != nil {
 			t.Fatal(err)
@@ -133,9 +137,11 @@ func TestParallelPooledStateBitIdentity(t *testing.T) {
 	run := func(st *RunState) ([]float64, any) {
 		x := randomValues(g.N(), 631)
 		res, err := RunBoyd(g, x, Options{
-			Stop:     sim.StopRule{TargetErr: 5e-3, MaxTicks: 4_000_000},
-			Parallel: Parallel{Shards: 5, Workers: 2},
-			State:    st,
+			RunEnv: sim.RunEnv{
+				Stop:     sim.StopRule{TargetErr: 5e-3, MaxTicks: 4_000_000},
+				Parallel: sim.Parallel{Shards: 5, Workers: 2},
+			},
+			State: st,
 		}, rng.New(632))
 		if err != nil {
 			t.Fatal(err)
@@ -154,15 +160,15 @@ func TestParallelPooledStateBitIdentity(t *testing.T) {
 
 func TestParallelGateRejections(t *testing.T) {
 	g := generate(t, 80, 2.2, 640)
-	p := Parallel{Shards: 4, Workers: 2}
+	p := sim.Parallel{Shards: 4, Workers: 2}
 	cases := []struct {
 		name string
 		opt  Options
 	}{
-		{"loss", Options{Parallel: p, LossRate: 0.1}},
-		{"faults", Options{Parallel: p, Faults: channel.Spec{Loss: channel.LossBernoulli, LossRate: 0.2}}},
-		{"resync", Options{Parallel: p, Resync: true}},
-		{"tracer", Options{Parallel: p, Tracer: trace.NewBuffer(16)}},
+		{"loss", Options{RunEnv: sim.RunEnv{Parallel: p, Faults: channel.Spec{Loss: channel.LossBernoulli, LossRate: 0.1}}}},
+		{"faults", Options{RunEnv: sim.RunEnv{Parallel: p, Faults: channel.Spec{Loss: channel.LossBernoulli, LossRate: 0.2}}}},
+		{"resync", Options{RunEnv: sim.RunEnv{Parallel: p, Recover: true}}},
+		{"tracer", Options{RunEnv: sim.RunEnv{Parallel: p, Tracer: trace.NewBuffer(16)}}},
 	}
 	for _, tc := range cases {
 		x := randomValues(g.N(), 641)
@@ -175,7 +181,7 @@ func TestParallelGateRejections(t *testing.T) {
 		}
 	}
 	x := randomValues(g.N(), 641)
-	if _, err := RunGeographic(g, x, GeoOptions{Options: Options{Parallel: p}}, rng.New(642)); err == nil {
+	if _, err := RunGeographic(g, x, GeoOptions{Options: Options{RunEnv: sim.RunEnv{Parallel: p}}}, rng.New(642)); err == nil {
 		t.Fatal("geographic accepted Parallel (routed exchanges are global)")
 	}
 }
@@ -187,7 +193,7 @@ func TestParallelBlockAllocs(t *testing.T) {
 	n := g.N()
 	x := randomValues(n, 651)
 	st := NewRunState()
-	shards := st.bindShards(Parallel{Shards: 4}, n, rng.New(652))
+	shards := st.bindShards(sim.Parallel{Shards: 4}, n, rng.New(652))
 	mean := meanOf(x)
 	warm := func(run func(sh *tickShard)) {
 		for rep := 0; rep < 8; rep++ {
@@ -230,7 +236,7 @@ func TestParallelBlockAllocs(t *testing.T) {
 // stream seeds derive from the documented "pshard" labels.
 func TestParallelShardSchedule(t *testing.T) {
 	st := NewRunState()
-	shards := st.bindShards(Parallel{Shards: 16}, 5, rng.New(660))
+	shards := st.bindShards(sim.Parallel{Shards: 16}, 5, rng.New(660))
 	if len(shards) != 5 {
 		t.Fatalf("shard count not capped at n: got %d", len(shards))
 	}

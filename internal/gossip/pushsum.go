@@ -49,7 +49,7 @@ type pushSumRun struct {
 func newPushSumRun(g *graph.Graph, x []float64, opt Options, r *rng.RNG) (*pushSumRun, error) {
 	st := stateOf(opt)
 	// Push-sum needs no resync recovery: the mass-conservation invariants
-	// already survive churn, so Options.Resync is ignored here.
+	// already survive churn, so RunEnv.Recover is ignored here.
 	medium, err := st.medium(opt, g, r)
 	if err != nil {
 		return nil, err
@@ -65,13 +65,10 @@ func newPushSumRun(g *graph.Graph, x []float64, opt Options, r *rng.RNG) (*pushS
 	st.est = sim.GrowFloat(st.est, n)
 	copy(st.est, st.s)
 	st.h.Reset(st.est, sim.HarnessConfig{
-		Stop:        opt.Stop,
-		RecordEvery: opt.RecordEvery,
-		Medium:      medium,
-		Points:      g.Points(),
-		Tracer:      opt.Tracer,
-		Obs:         opt.Obs,
-		Timeline:    &st.tline,
+		RunEnv:   opt.RunEnv,
+		Medium:   medium,
+		Points:   g.Points(),
+		Timeline: &st.tline,
 	}, st.stream(&st.clockRNG, r, "clock"))
 	e := &st.push
 	*e = pushSumRun{

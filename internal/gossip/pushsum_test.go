@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"geogossip/internal/channel"
 	"geogossip/internal/graph"
 	"geogossip/internal/rng"
 	"geogossip/internal/sim"
@@ -14,7 +15,9 @@ func TestPushSumConverges(t *testing.T) {
 	x := randomValues(g.N(), 431)
 	mean := meanOf(x)
 	res, err := RunPushSum(g, x, Options{
-		Stop: sim.StopRule{TargetErr: 1e-3, MaxTicks: 5_000_000},
+		RunEnv: sim.RunEnv{
+			Stop: sim.StopRule{TargetErr: 1e-3, MaxTicks: 5_000_000},
+		},
 	}, rng.New(432))
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +36,9 @@ func TestPushSumOneMessagePerExchange(t *testing.T) {
 	g := generate(t, 200, 2.0, 433)
 	x := randomValues(g.N(), 434)
 	res, err := RunPushSum(g, x, Options{
-		Stop: sim.StopRule{MaxTicks: 10_000},
+		RunEnv: sim.RunEnv{
+			Stop: sim.StopRule{MaxTicks: 10_000},
+		},
 	}, rng.New(435))
 	if err != nil {
 		t.Fatal(err)
@@ -49,11 +54,11 @@ func TestPushSumCheaperPerTickThanBoyd(t *testing.T) {
 	xP := randomValues(g.N(), 437)
 	xB := append([]float64(nil), xP...)
 	stop := sim.StopRule{TargetErr: 1e-2, MaxTicks: 5_000_000}
-	rp, err := RunPushSum(g, xP, Options{Stop: stop}, rng.New(438))
+	rp, err := RunPushSum(g, xP, Options{RunEnv: sim.RunEnv{Stop: stop}}, rng.New(438))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := RunBoyd(g, xB, Options{Stop: stop}, rng.New(438))
+	rb, err := RunBoyd(g, xB, Options{RunEnv: sim.RunEnv{Stop: stop}}, rng.New(438))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +80,9 @@ func TestPushSumMassInvariants(t *testing.T) {
 	x := randomValues(g.N(), 440)
 	mean := meanOf(x)
 	if _, err := RunPushSum(g, x, Options{
-		Stop: sim.StopRule{TargetErr: 1e-6, MaxTicks: 20_000_000},
+		RunEnv: sim.RunEnv{
+			Stop: sim.StopRule{TargetErr: 1e-6, MaxTicks: 20_000_000},
+		},
 	}, rng.New(441)); err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +102,10 @@ func TestPushSumConservesMassUnderLoss(t *testing.T) {
 	mean := meanOf(x)
 	sum0 := mean * float64(g.N())
 	res, s, w, err := RunPushSumState(g, x, Options{
-		Stop:     sim.StopRule{TargetErr: 1e-3, MaxTicks: 10_000_000},
-		LossRate: 0.3,
+		RunEnv: sim.RunEnv{
+			Stop:   sim.StopRule{TargetErr: 1e-3, MaxTicks: 10_000_000},
+			Faults: channel.Spec{Loss: channel.LossBernoulli, LossRate: 0.3},
+		},
 	}, rng.New(444))
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +147,9 @@ func TestPushSumDeterministic(t *testing.T) {
 	run := func() uint64 {
 		x := randomValues(g.N(), 445)
 		res, err := RunPushSum(g, x, Options{
-			Stop: sim.StopRule{TargetErr: 1e-2, MaxTicks: 2_000_000},
+			RunEnv: sim.RunEnv{
+				Stop: sim.StopRule{TargetErr: 1e-2, MaxTicks: 2_000_000},
+			},
 		}, rng.New(446))
 		if err != nil {
 			t.Fatal(err)

@@ -24,9 +24,11 @@ func TestBoydResyncFiresOnRevival(t *testing.T) {
 	run := func(resync bool) (*resultStats, []float64) {
 		x := append([]float64(nil), x0...)
 		res, err := RunBoyd(g, x, Options{
-			Stop:   sim.StopRule{TargetErr: 1e-3, MaxTicks: 300_000},
-			Faults: parseSpec(t, "churn:2000/1000"),
-			Resync: resync,
+			RunEnv: sim.RunEnv{
+				Stop:    sim.StopRule{TargetErr: 1e-3, MaxTicks: 300_000},
+				Faults:  parseSpec(t, "churn:2000/1000"),
+				Recover: resync,
+			},
 		}, rng.New(502))
 		if err != nil {
 			t.Fatal(err)
@@ -67,8 +69,10 @@ func TestHubChurnKillsOnlyHubs(t *testing.T) {
 	g := generate(t, 200, 2.0, 503)
 	x := randomValues(g.N(), 504)
 	res, err := RunBoyd(g, x, Options{
-		Stop:   sim.StopRule{TargetErr: 1e-9, MaxTicks: 200_000}, // run to the tick cap
-		Faults: parseSpec(t, "hubchurn:1000/0/15"),
+		RunEnv: sim.RunEnv{
+			Stop:   sim.StopRule{TargetErr: 1e-9, MaxTicks: 200_000}, // run to the tick cap
+			Faults: parseSpec(t, "hubchurn:1000/0/15"),
+		},
 	}, rng.New(505))
 	if err != nil {
 		t.Fatal(err)
@@ -98,10 +102,10 @@ func TestHubChurnKillsOnlyHubs(t *testing.T) {
 func TestRepChurnRejectedWithoutHierarchy(t *testing.T) {
 	g := generate(t, 64, 2.5, 506)
 	x := randomValues(g.N(), 507)
-	if _, err := RunBoyd(g, x, Options{Faults: parseSpec(t, "repchurn:1000/0")}, rng.New(1)); err == nil {
+	if _, err := RunBoyd(g, x, Options{RunEnv: sim.RunEnv{Faults: parseSpec(t, "repchurn:1000/0")}}, rng.New(1)); err == nil {
 		t.Fatal("boyd accepted rep-targeted churn without a hierarchy")
 	}
-	if _, err := RunGeographic(g, x, GeoOptions{Options: Options{Faults: parseSpec(t, "repchurn:1000/0")}}, rng.New(1)); err == nil {
+	if _, err := RunGeographic(g, x, GeoOptions{Options: Options{RunEnv: sim.RunEnv{Faults: parseSpec(t, "repchurn:1000/0")}}}, rng.New(1)); err == nil {
 		t.Fatal("geographic accepted rep-targeted churn without a hierarchy")
 	}
 }
@@ -110,10 +114,14 @@ func TestGeographicDegradesInsideJammingDisk(t *testing.T) {
 	g := generate(t, 250, 2.0, 508)
 	run := func(spec string) uint64 {
 		x := randomValues(g.N(), 509)
-		res, err := RunGeographic(g, x, GeoOptions{Options: Options{
-			Stop:   sim.StopRule{TargetErr: 1e-2, MaxTicks: 3_000_000},
-			Faults: parseSpec(t, spec),
-		}}, rng.New(510))
+		res, err := RunGeographic(g, x, GeoOptions{
+			Options: Options{
+				RunEnv: sim.RunEnv{
+					Stop:   sim.StopRule{TargetErr: 1e-2, MaxTicks: 3_000_000},
+					Faults: parseSpec(t, spec),
+				},
+			},
+		}, rng.New(510))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,8 +142,10 @@ func TestBoydSurvivesPartitionHeal(t *testing.T) {
 	x := randomValues(g.N(), 512)
 	mean := meanOf(x)
 	res, err := RunBoyd(g, x, Options{
-		Stop:   sim.StopRule{TargetErr: 1e-2, MaxTicks: 3_000_000},
-		Faults: parseSpec(t, "cut:1/0/0.5/0/100000"),
+		RunEnv: sim.RunEnv{
+			Stop:   sim.StopRule{TargetErr: 1e-2, MaxTicks: 3_000_000},
+			Faults: parseSpec(t, "cut:1/0/0.5/0/100000"),
+		},
 	}, rng.New(513))
 	if err != nil {
 		t.Fatal(err)

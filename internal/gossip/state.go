@@ -40,8 +40,8 @@ type RunState struct {
 	// acceptance table is a pure function of the graph, cached per bound
 	// graph like the route scratch.
 	router routing.Router
-	// noCache is the state-owned disabled cache geographic runs default
-	// to (see gossip.Options.Routes), reused across runs.
+	// noCache is the state-owned disabled cache geographic runs route
+	// through, reused across runs.
 	noCache *routing.Cache
 	sampler TargetSampler
 	acceptG *graph.Graph
@@ -86,18 +86,10 @@ func (st *RunState) stream(slot **rng.RNG, r *rng.RNG, name string) *rng.RNG {
 }
 
 // medium builds the run's radio channel through the state's channel pool
-// over the engine's deterministic streams (see Options.medium).
+// over the engine's deterministic streams: losses draw from "loss",
+// churn schedules from "churn". Rep-targeted specs fail (no hierarchy).
 func (st *RunState) medium(o Options, g *graph.Graph, r *rng.RNG) (channel.Channel, error) {
-	spec, err := o.faultSpec()
-	if err != nil {
-		return nil, err
-	}
-	st.tline.Reset(spec.HasTransport())
-	env := channel.Env{Points: g.Points(), Timeline: &st.tline, Obs: o.Obs, Tracer: o.Tracer}
-	if spec.TargetsHubs() {
-		env.HubOrder = g.ByDegreeDesc()
-	}
-	return spec.BuildWith(&st.ch, g.N(), env,
+	return sim.BuildMedium(&st.ch, &st.tline, o.RunEnv, g, nil,
 		st.stream(&st.lossRNG, r, "loss"), st.stream(&st.churnRNG, r, "churn"))
 }
 

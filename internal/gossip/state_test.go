@@ -86,7 +86,7 @@ func TestPooledStateBitIdentical(t *testing.T) {
 	for _, cfg := range stateConfigs {
 		for _, rn := range runners {
 			label := fmt.Sprintf("%s/%s", rn.name, cfg.name)
-			freshOpt := Options{Stop: stop, Faults: parseSpec(t, cfg.faults), Resync: cfg.resync}
+			freshOpt := Options{RunEnv: sim.RunEnv{Stop: stop, Faults: parseSpec(t, cfg.faults), Recover: cfg.resync}}
 			fresh, xFresh, err := rn.run(freshOpt, rng.New(905))
 			if err != nil {
 				t.Fatalf("%s: fresh: %v", label, err)
@@ -122,11 +122,11 @@ func TestPooledStateSurvivesGraphChange(t *testing.T) {
 		}{{gA, 912}, {gB, 913}} {
 			x1 := randomValues(tc.g.N(), tc.seed)
 			x2 := randomValues(tc.g.N(), tc.seed)
-			fresh, err := RunGeographic(tc.g, x1, GeoOptions{Options: Options{Stop: stop}}, rng.New(914))
+			fresh, err := RunGeographic(tc.g, x1, GeoOptions{Options: Options{RunEnv: sim.RunEnv{Stop: stop}}}, rng.New(914))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := RunGeographic(tc.g, x2, GeoOptions{Options: Options{Stop: stop, State: pooled}}, rng.New(914))
+			got, err := RunGeographic(tc.g, x2, GeoOptions{Options: Options{RunEnv: sim.RunEnv{Stop: stop}, State: pooled}}, rng.New(914))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,10 +149,12 @@ func TestSteadyStateTicksAllocFree(t *testing.T) {
 	}
 	for _, medium := range media {
 		opt := Options{
-			Stop:        sim.StopRule{MaxTicks: math.MaxUint64 >> 1},
-			RecordEvery: math.MaxUint64 >> 1, // no curve sampling inside the window
-			Faults:      parseSpec(t, medium.faults),
-			State:       NewRunState(),
+			RunEnv: sim.RunEnv{
+				Stop:        sim.StopRule{MaxTicks: math.MaxUint64 >> 1},
+				RecordEvery: math.MaxUint64 >> 1, // no curve sampling inside the window
+				Faults:      parseSpec(t, medium.faults),
+			},
+			State: NewRunState(),
 		}
 
 		x := randomValues(g.N(), 921)
@@ -170,7 +172,7 @@ func TestSteadyStateTicksAllocFree(t *testing.T) {
 		x = randomValues(g.N(), 923)
 		geoOpt := GeoOptions{Options: opt, Sampling: SamplingRejection}
 		geoOpt.State = NewRunState()
-		geo, err := newGeoRun(g, x, geoOpt.withDefaults(), rng.New(924))
+		geo, err := newGeoRun(g, x, geoOpt, rng.New(924))
 		if err != nil {
 			t.Fatal(err)
 		}

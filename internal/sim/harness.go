@@ -64,11 +64,10 @@ type Harness struct {
 
 // HarnessConfig configures NewHarness.
 type HarnessConfig struct {
-	// Stop bundles the termination conditions (WithDefaults is applied).
-	Stop StopRule
-	// RecordEvery samples the curve every RecordEvery ticks; zero
-	// selects n.
-	RecordEvery uint64
+	// RunEnv supplies the run's Stop rule (WithDefaults is applied),
+	// RecordEvery (zero selects n), Tracer and Obs. Its Faults spec is
+	// the engine's to build into Medium.
+	RunEnv
 	// Medium is the radio fault model; nil selects channel.Perfect.
 	Medium channel.Channel
 	// Points holds node positions so Packet can attach the spatial
@@ -77,10 +76,6 @@ type HarnessConfig struct {
 	Points []geo.Point
 	// Router supplies the run's routing core (see Harness.Router).
 	Router *routing.Router
-	// Tracer optionally receives protocol events.
-	Tracer trace.Tracer
-	// Obs optionally receives metrics (see Harness.Scope).
-	Obs *obs.Scope
 	// Timeline optionally supplies the transport event clock (see
 	// Harness.Timeline). The engine resets it before building the medium.
 	Timeline *channel.Timeline

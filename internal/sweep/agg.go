@@ -263,11 +263,10 @@ func effectiveLoss(k CellKey) (float64, bool) {
 			return 0, false
 		}
 	}
-	if k.LossRate != 0 {
-		// The grid validator forbids crossing LossRates with fault models
-		// that carry their own loss process, so folding is unambiguous.
-		spec.Loss = channel.LossBernoulli
-		spec.LossRate = k.LossRate
+	// The grid validator forbids crossing LossRates with fault models
+	// that carry their own loss process, so folding is unambiguous.
+	if spec, err = spec.WithLossRate(k.LossRate); err != nil {
+		return 0, false
 	}
 	p := spec.ExpectedLossRate()
 	if p < 0 || p >= 1 {

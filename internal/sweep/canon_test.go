@@ -1,9 +1,13 @@
 package sweep
 
-import "testing"
+import (
+	"testing"
+
+	"geogossip/internal/engine"
+)
 
 func TestFaultModelCanonicalization(t *testing.T) {
-	spec := Spec{Algorithms: []string{AlgoBoyd}, Ns: []int{64},
+	spec := Spec{Algorithms: []string{engine.Boyd}, Ns: []int{64},
 		FaultModels: []string{"perfect", "bernoulli:.2", "ge:0.1/0.2/0/.5+churn:5e3/0"}}
 	got := spec.Normalized().FaultModels
 	want := []string{"", "bernoulli:0.2", "ge:0.1/0.2/0/0.5+churn:5000/0"}

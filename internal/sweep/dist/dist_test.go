@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"geogossip/internal/engine"
 	"geogossip/internal/obs"
 	"geogossip/internal/sweep"
 )
@@ -19,7 +20,7 @@ import (
 // multiple algorithms, sizes and loss rates — 16 tasks.
 func testSpec() sweep.Spec {
 	return sweep.Spec{
-		Algorithms:       []string{sweep.AlgoBoyd, sweep.AlgoAffine},
+		Algorithms:       []string{engine.Boyd, engine.Affine},
 		Ns:               []int{96, 128},
 		Seeds:            2,
 		LossRates:        []float64{0, 0.1},

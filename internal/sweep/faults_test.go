@@ -2,13 +2,14 @@ package sweep
 
 import (
 	"context"
+	"geogossip/internal/engine"
 	"strings"
 	"testing"
 )
 
 func TestFaultModelAxisExpansion(t *testing.T) {
 	spec := Spec{
-		Algorithms:  []string{AlgoBoyd, AlgoPushSum},
+		Algorithms:  []string{engine.Boyd, engine.PushSum},
 		Ns:          []int{64},
 		FaultModels: []string{"", "ge:0.05/0.2/0.01/0.6", "churn:5000/1000"},
 	}
@@ -29,7 +30,7 @@ func TestFaultModelAxisExpansion(t *testing.T) {
 // the run seed, so pre-fault-axis grids keep their derived seeds — and
 // their results — unchanged; non-empty models get distinct seeds.
 func TestFaultModelSeedBackCompat(t *testing.T) {
-	base := Task{Algorithm: AlgoBoyd, N: 128, BaseSeed: 1}
+	base := Task{Algorithm: engine.Boyd, N: 128, BaseSeed: 1}
 	withModel := base
 	withModel.FaultModel = "churn:5000/0"
 	if base.runSeed() == withModel.runSeed() {
@@ -43,12 +44,12 @@ func TestFaultModelSeedBackCompat(t *testing.T) {
 }
 
 func TestFaultModelValidation(t *testing.T) {
-	bad := Spec{Algorithms: []string{AlgoBoyd}, Ns: []int{64}, FaultModels: []string{"quantum:1"}}
+	bad := Spec{Algorithms: []string{engine.Boyd}, Ns: []int{64}, FaultModels: []string{"quantum:1"}}
 	if err := bad.Normalized().Validate(); err == nil {
 		t.Fatal("unknown fault model validated")
 	}
 	crossed := Spec{
-		Algorithms:  []string{AlgoBoyd},
+		Algorithms:  []string{engine.Boyd},
 		Ns:          []int{64},
 		LossRates:   []float64{0, 0.2},
 		FaultModels: []string{"bernoulli:0.1"},
@@ -62,7 +63,7 @@ func TestFaultModelValidation(t *testing.T) {
 	}
 	// Churn-only fault entries compose with the loss axis.
 	composed := Spec{
-		Algorithms:  []string{AlgoBoyd},
+		Algorithms:  []string{engine.Boyd},
 		Ns:          []int{64},
 		LossRates:   []float64{0, 0.2},
 		FaultModels: []string{"", "churn:5000/1000"},
@@ -74,7 +75,7 @@ func TestFaultModelValidation(t *testing.T) {
 
 func TestFaultModelExecuteEndToEnd(t *testing.T) {
 	spec := Spec{
-		Algorithms:  []string{AlgoBoyd, AlgoPushSum, AlgoAffine},
+		Algorithms:  []string{engine.Boyd, engine.PushSum, engine.Affine},
 		Ns:          []int{96},
 		TargetErr:   5e-2,
 		FaultModels: []string{"ge:0.05/0.2/0.01/0.6", "bernoulli:0.1+churn:50000/10000"},
@@ -109,7 +110,7 @@ func TestFaultModelExecuteEndToEnd(t *testing.T) {
 // silent merge.
 func TestResumeDetectsFaultModelMismatch(t *testing.T) {
 	spec := Spec{
-		Algorithms:  []string{AlgoBoyd},
+		Algorithms:  []string{engine.Boyd},
 		Ns:          []int{64},
 		TargetErr:   5e-2,
 		FaultModels: []string{"churn:5000/1000"},
@@ -117,7 +118,7 @@ func TestResumeDetectsFaultModelMismatch(t *testing.T) {
 	tasks := spec.Normalized().Expand()
 	prior := TaskResult{
 		TaskID:           0,
-		Algorithm:        AlgoBoyd,
+		Algorithm:        engine.Boyd,
 		N:                64,
 		FaultModel:       "churn:9999/0", // disagrees with the grid
 		TargetErr:        tasks[0].TargetErr,

@@ -2,12 +2,13 @@ package sweep
 
 import (
 	"context"
+	"geogossip/internal/engine"
 	"strings"
 	"testing"
 )
 
 func TestSpatialFaultModelCanonicalization(t *testing.T) {
-	spec := Spec{Algorithms: []string{AlgoBoyd}, Ns: []int{64},
+	spec := Spec{Algorithms: []string{engine.Boyd}, Ns: []int{64},
 		FaultModels: []string{"jam:.5/.5/.2/.9", "cut:1/0/.5/100/200", "hubchurn:5e3/0/8"}}
 	got := spec.Normalized().FaultModels
 	want := []string{"jam:0.5/0.5/0.2/0.9", "cut:1/0/0.5/100/200", "hubchurn:5000/0/8"}
@@ -20,7 +21,7 @@ func TestSpatialFaultModelCanonicalization(t *testing.T) {
 
 func TestSpatialFaultAxisEndToEnd(t *testing.T) {
 	spec := Spec{
-		Algorithms:  []string{AlgoBoyd},
+		Algorithms:  []string{engine.Boyd},
 		Ns:          []int{96},
 		TargetErr:   5e-2,
 		FaultModels: []string{"jam:0.5/0.5/0.25/0.9", "mjam:0.5/0.5/0.2/0.8/0.0001/0.00007", "cut:1/0/0.5/0/20000"},
@@ -44,7 +45,7 @@ func TestSpatialFaultAxisEndToEnd(t *testing.T) {
 // the sweep.
 func TestRepChurnAxisErrorsPerTask(t *testing.T) {
 	spec := Spec{
-		Algorithms:  []string{AlgoBoyd, AlgoAffine},
+		Algorithms:  []string{engine.Boyd, engine.Affine},
 		Ns:          []int{96},
 		TargetErr:   5e-2,
 		FaultModels: []string{"repchurn:50000/10000"},
@@ -55,11 +56,11 @@ func TestRepChurnAxisErrorsPerTask(t *testing.T) {
 	}
 	for _, r := range results {
 		switch r.Algorithm {
-		case AlgoBoyd:
+		case engine.Boyd:
 			if r.Error == "" || !strings.Contains(r.Error, "hierarchy") {
 				t.Fatalf("boyd × repchurn: error %q, want a no-hierarchy failure", r.Error)
 			}
-		case AlgoAffine:
+		case engine.Affine:
 			if r.Error != "" {
 				t.Fatalf("affine × repchurn failed: %s", r.Error)
 			}
@@ -69,7 +70,7 @@ func TestRepChurnAxisErrorsPerTask(t *testing.T) {
 
 func TestLossFitsAcrossFaultGrid(t *testing.T) {
 	spec := Spec{
-		Algorithms:  []string{AlgoBoyd},
+		Algorithms:  []string{engine.Boyd},
 		Ns:          []int{96, 128},
 		Seeds:       2,
 		TargetErr:   5e-2,
@@ -97,7 +98,7 @@ func TestLossFitsAcrossFaultGrid(t *testing.T) {
 }
 
 func TestLossFitsAbsentWithoutLossAxis(t *testing.T) {
-	spec := Spec{Algorithms: []string{AlgoBoyd}, Ns: []int{96}, TargetErr: 5e-2}
+	spec := Spec{Algorithms: []string{engine.Boyd}, Ns: []int{96}, TargetErr: 5e-2}
 	results, err := Run(context.Background(), spec, Options{})
 	if err != nil {
 		t.Fatal(err)

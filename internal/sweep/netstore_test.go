@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"geogossip/internal/engine"
 	"geogossip/internal/netstore"
 )
 
@@ -120,7 +121,7 @@ func TestNetStoreSkipsDisconnectedInstances(t *testing.T) {
 	// A sparse radius at small n leaves some placements disconnected, so
 	// the retry loop actually engages.
 	spec := Spec{
-		Algorithms:       []string{AlgoBoyd},
+		Algorithms:       []string{engine.Boyd},
 		Ns:               []int{64},
 		Seeds:            6,
 		TargetErr:        5e-2,

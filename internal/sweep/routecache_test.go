@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"geogossip/internal/engine"
 	"geogossip/internal/routing"
 )
 
@@ -13,7 +14,7 @@ import (
 // floods must register hits, and the counters must reach the caller.
 func TestRouteStatsAggregated(t *testing.T) {
 	spec := Spec{
-		Algorithms: []string{AlgoAffine, AlgoAsync, AlgoGeographic},
+		Algorithms: []string{engine.Affine, engine.Async, engine.Geographic},
 		Ns:         []int{256},
 		Seeds:      2,
 		TargetErr:  5e-2,

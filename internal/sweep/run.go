@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"geogossip/internal/channel"
-	"geogossip/internal/core"
+	"geogossip/internal/engine"
 	"geogossip/internal/gossip"
 	"geogossip/internal/graph"
 	"geogossip/internal/hier"
@@ -198,12 +198,8 @@ func (t Task) faults() (channel.Spec, error) {
 	if err != nil {
 		return spec, err
 	}
-	if t.LossRate != 0 {
-		if spec.Loss != channel.LossNone {
-			return spec, fmt.Errorf("sweep: task crosses loss rate %v with fault model %q", t.LossRate, t.FaultModel)
-		}
-		spec.Loss = channel.LossBernoulli
-		spec.LossRate = t.LossRate
+	if spec, err = spec.WithLossRate(t.LossRate); err != nil {
+		return spec, fmt.Errorf("sweep: fault model %q: %w", t.FaultModel, err)
 	}
 	if t.Transport != "" {
 		tr, err := channel.Parse(t.Transport)
@@ -231,8 +227,7 @@ func (t Task) faults() (channel.Spec, error) {
 // pooled and fresh execution are bit-identical (asserted by the
 // pooled-vs-fresh suite).
 type runStates struct {
-	gossip gossip.RunState
-	core   core.RunState
+	engine.States
 	x      []float64
 	runRNG *rng.RNG
 	// reg is the sweep's shared metrics registry (nil when observability
@@ -243,17 +238,17 @@ type runStates struct {
 
 // scope resolves the per-engine metrics scope, nil when no registry is
 // attached (the zero-overhead default).
-func (st *runStates) scope(engine string) *obs.Scope {
+func (st *runStates) scope(name string) *obs.Scope {
 	if st.reg == nil {
 		return nil
 	}
-	return st.reg.Scope(engine)
+	return st.reg.Scope(name)
 }
 
 // channelBuilds reports the pooled channel builds this worker's states
 // have served (see channel.Pool.Builds).
 func (st *runStates) channelBuilds() uint64 {
-	return st.gossip.ChannelBuilds() + st.core.ChannelBuilds()
+	return st.Gossip.ChannelBuilds() + st.Core.ChannelBuilds()
 }
 
 // rng returns the task's protocol generator, reusing the worker's pooled
@@ -309,109 +304,44 @@ func executeWith(t Task, cache *netCache, st *runStates) TaskResult {
 		return out
 	}
 	st.x = t.values(g, st.x)
-	x := st.x
-	stop := sim.StopRule{TargetErr: t.TargetErr, MaxTicks: t.MaxTicks}
-	switch t.Algorithm {
-	case AlgoBoyd:
-		res, err := gossip.RunBoyd(g, x, gossip.Options{
-			Stop:   stop,
-			Faults: faults,
-			Resync: t.Recover,
-			State:  &st.gossip,
-			Obs:    st.scope(t.Algorithm),
-		}, st.rng(out.RunSeed))
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		out.fill(res.Converged, res.FinalErr, res.Transmissions, res.SimSeconds, res.TransmissionsByCategory)
-	case AlgoGeographic:
-		mode := gossip.SamplingRejection
-		if t.Sampling == SamplingUniform {
-			mode = gossip.SamplingUniformNode
-		}
-		// Geographic routes between random endpoints: the shared cache
-		// would accumulate unreusable entries (see gossip.Options.Routes),
-		// so only the hierarchy engines pool their routing work.
-		res, err := gossip.RunGeographic(g, x, gossip.GeoOptions{
-			Options: gossip.Options{
-				Stop:   stop,
-				Faults: faults,
-				Resync: t.Recover,
-				State:  &st.gossip,
-				Obs:    st.scope(t.Algorithm),
-			},
-			Sampling: mode,
-		}, st.rng(out.RunSeed))
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		out.fill(res.Converged, res.FinalErr, res.Transmissions, res.SimSeconds, res.TransmissionsByCategory)
-	case AlgoPushSum:
-		// Push-sum ignores the recovery axis: its mass-conservation
-		// bookkeeping already survives churn.
-		res, err := gossip.RunPushSum(g, x, gossip.Options{
-			Stop:   stop,
-			Faults: faults,
-			State:  &st.gossip,
-			Obs:    st.scope(t.Algorithm),
-		}, st.rng(out.RunSeed))
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		out.fill(res.Converged, res.FinalErr, res.Transmissions, res.SimSeconds, res.TransmissionsByCategory)
-	case AlgoAffine:
-		res, err := core.RunRecursive(g, h, x, core.RecursiveOptions{
-			Eps:     t.TargetErr,
-			Beta:    t.Beta,
-			Faults:  faults,
-			Recover: t.Recover,
-			Routes:  routes,
-			State:   &st.core,
-			Obs:     st.scope(t.Algorithm),
-		}, st.rng(out.RunSeed))
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		out.fill(res.Converged, res.FinalErr, res.Transmissions, res.SimSeconds, res.TransmissionsByCategory)
-		out.FarExchanges = res.FarExchanges
-		out.HierarchyEll = h.Ell
-	case AlgoAsync:
-		res, err := core.RunAsync(g, h, x, core.AsyncOptions{
-			Eps:          t.TargetErr,
-			Beta:         t.Beta,
-			Throttle:     t.AsyncThrottle,
-			LeafTicks:    t.AsyncLeafTicks,
-			RoundsFactor: 2,
-			Faults:       faults,
-			Recover:      t.Recover,
-			Routes:       routes,
-			Stop:         stop,
-			State:        &st.core,
-			Obs:          st.scope(t.Algorithm),
-		}, st.rng(out.RunSeed))
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		out.fill(res.Converged, res.FinalErr, res.Transmissions, res.SimSeconds, res.TransmissionsByCategory)
-		out.FarExchanges = res.FarExchanges
-		out.HierarchyEll = h.Ell
-	default:
+	eng, ok := engine.Lookup(t.Algorithm)
+	if !ok {
 		out.Error = fmt.Sprintf("sweep: unknown algorithm %q", t.Algorithm)
+		return out
+	}
+	sampling := gossip.SamplingRejection
+	if t.Sampling == SamplingUniform {
+		sampling = gossip.SamplingUniformNode
+	}
+	res, err := eng.Run(engine.Input{
+		G: g,
+		H: h,
+		X: st.x,
+		Env: sim.RunEnv{
+			Stop:    sim.StopRule{TargetErr: t.TargetErr, MaxTicks: t.MaxTicks},
+			Faults:  faults,
+			Routes:  routes,
+			Recover: t.Recover,
+			Obs:     st.scope(t.Algorithm),
+		},
+		Knobs:  engine.Knobs{Beta: t.Beta, Sampling: sampling, Throttle: t.AsyncThrottle, LeafTicks: t.AsyncLeafTicks},
+		States: &st.States,
+		RNG:    st.rng(out.RunSeed),
+	})
+	if err != nil {
+		out.Error = err.Error()
+		return out
+	}
+	out.Converged = res.Converged
+	out.FinalErr = res.FinalErr
+	out.Transmissions = res.Transmissions
+	out.SimSeconds = res.SimSeconds
+	out.Breakdown = maps.Clone(res.TransmissionsByCategory)
+	out.FarExchanges = res.FarExchanges
+	if eng.Hierarchy {
+		out.HierarchyEll = h.Ell
 	}
 	return out
-}
-
-func (r *TaskResult) fill(converged bool, finalErr float64, tx uint64, simSeconds float64, byCat map[string]uint64) {
-	r.Converged = converged
-	r.FinalErr = finalErr
-	r.Transmissions = tx
-	r.SimSeconds = simSeconds
-	r.Breakdown = maps.Clone(byCat)
 }
 
 // NetBuildStats summarizes the network constructions one sweep performed:

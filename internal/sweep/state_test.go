@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"geogossip/internal/engine"
 	"reflect"
 	"testing"
 )
@@ -13,7 +14,7 @@ import (
 // layer.
 func TestPooledWorkersMatchFreshExecute(t *testing.T) {
 	spec := Spec{
-		Algorithms:  []string{AlgoBoyd, AlgoGeographic, AlgoPushSum, AlgoAffine, AlgoAsync},
+		Algorithms:  []string{engine.Boyd, engine.Geographic, engine.PushSum, engine.Affine, engine.Async},
 		Ns:          []int{96, 160},
 		Seeds:       2,
 		FaultModels: []string{"", "churn:60000/20000"},
@@ -48,7 +49,7 @@ func TestPooledWorkersMatchFreshExecute(t *testing.T) {
 // bit-identical and resumable.
 func TestRecoveryAxisKeepsPriorSeeds(t *testing.T) {
 	base := Spec{
-		Algorithms:  []string{AlgoBoyd, AlgoAffine},
+		Algorithms:  []string{engine.Boyd, engine.Affine},
 		Ns:          []int{128},
 		Seeds:       2,
 		FaultModels: []string{"", "churn:60000/20000"},
@@ -95,8 +96,8 @@ func TestRecoveryAxisKeepsPriorSeeds(t *testing.T) {
 // cells and survives the result→cell round trip.
 func TestRecoveryAxisAggregation(t *testing.T) {
 	results := []TaskResult{
-		{TaskID: 0, Algorithm: AlgoBoyd, N: 64, FaultModel: "churn:1000/100", Recover: false, Transmissions: 100, Converged: true},
-		{TaskID: 1, Algorithm: AlgoBoyd, N: 64, FaultModel: "churn:1000/100", Recover: true, Transmissions: 140, Converged: true},
+		{TaskID: 0, Algorithm: engine.Boyd, N: 64, FaultModel: "churn:1000/100", Recover: false, Transmissions: 100, Converged: true},
+		{TaskID: 1, Algorithm: engine.Boyd, N: 64, FaultModel: "churn:1000/100", Recover: true, Transmissions: 140, Converged: true},
 	}
 	sum := Aggregate(results)
 	if len(sum.Cells) != 2 {

@@ -18,16 +18,8 @@ import (
 	"math"
 
 	"geogossip/internal/channel"
+	"geogossip/internal/engine"
 	"geogossip/internal/rng"
-)
-
-// Algorithm names accepted by Spec.Algorithms.
-const (
-	AlgoBoyd       = "boyd"
-	AlgoGeographic = "geographic"
-	AlgoPushSum    = "push-sum"
-	AlgoAffine     = "affine-hierarchical"
-	AlgoAsync      = "affine-async"
 )
 
 // Sampling mode names accepted by Spec.Samplings.
@@ -57,8 +49,7 @@ const (
 // Spec is a declarative parameter grid. Zero-valued axes default to a
 // single neutral point, so callers only write the axes they sweep.
 type Spec struct {
-	// Algorithms lists protocol names (AlgoBoyd, AlgoGeographic,
-	// AlgoPushSum, AlgoAffine, AlgoAsync). Required.
+	// Algorithms lists engine names (engine.Names). Required.
 	Algorithms []string
 	// Ns lists network sizes. Required.
 	Ns []int
@@ -217,9 +208,7 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("sweep: spec has no algorithms")
 	}
 	for _, a := range s.Algorithms {
-		switch a {
-		case AlgoBoyd, AlgoGeographic, AlgoPushSum, AlgoAffine, AlgoAsync:
-		default:
+		if _, ok := engine.Lookup(a); !ok {
 			return fmt.Errorf("sweep: unknown algorithm %q", a)
 		}
 	}

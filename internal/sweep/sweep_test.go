@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"geogossip/internal/engine"
 	"reflect"
 	"sort"
 	"strings"
@@ -14,7 +15,7 @@ import (
 // exercise every axis: 2 algorithms × 2 sizes × 2 seeds × 2 loss rates.
 func smallSpec() Spec {
 	return Spec{
-		Algorithms:       []string{AlgoBoyd, AlgoAffine},
+		Algorithms:       []string{engine.Boyd, engine.Affine},
 		Ns:               []int{96, 128},
 		Seeds:            2,
 		LossRates:        []float64{0, 0.1},
@@ -51,12 +52,12 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 	bad := []Spec{
 		{},
 		{Algorithms: []string{"boid"}, Ns: []int{64}},
-		{Algorithms: []string{AlgoBoyd}},
-		{Algorithms: []string{AlgoBoyd}, Ns: []int{-1}},
-		{Algorithms: []string{AlgoBoyd}, Ns: []int{64}, LossRates: []float64{1.5}},
-		{Algorithms: []string{AlgoBoyd}, Ns: []int{64}, Samplings: []string{"psychic"}},
-		{Algorithms: []string{AlgoBoyd}, Ns: []int{64}, Hierarchies: []string{"sideways"}},
-		{Algorithms: []string{AlgoBoyd}, Ns: []int{64}, Field: "spiky"},
+		{Algorithms: []string{engine.Boyd}},
+		{Algorithms: []string{engine.Boyd}, Ns: []int{-1}},
+		{Algorithms: []string{engine.Boyd}, Ns: []int{64}, LossRates: []float64{1.5}},
+		{Algorithms: []string{engine.Boyd}, Ns: []int{64}, Samplings: []string{"psychic"}},
+		{Algorithms: []string{engine.Boyd}, Ns: []int{64}, Hierarchies: []string{"sideways"}},
+		{Algorithms: []string{engine.Boyd}, Ns: []int{64}, Field: "spiky"},
 	}
 	for i, s := range bad {
 		if err := s.Normalized().Validate(); err == nil {
@@ -79,19 +80,19 @@ func TestSeedsIgnoreAlgorithmButNotCell(t *testing.T) {
 		t.Fatalf("no task %s/%d/%d", algo, n, seed)
 		return Task{}
 	}
-	a := byCoord(AlgoBoyd, 96, 0)
-	b := byCoord(AlgoAffine, 96, 0)
+	a := byCoord(engine.Boyd, 96, 0)
+	b := byCoord(engine.Affine, 96, 0)
 	if a.netSeed(0) != b.netSeed(0) || a.fieldSeed() != b.fieldSeed() {
 		t.Fatal("algorithms of one cell must share network and field seeds")
 	}
 	if a.runSeed() == b.runSeed() {
 		t.Fatal("different algorithms share a run seed")
 	}
-	c := byCoord(AlgoBoyd, 96, 1)
+	c := byCoord(engine.Boyd, 96, 1)
 	if a.netSeed(0) == c.netSeed(0) {
 		t.Fatal("different seed indices share a network seed")
 	}
-	d := byCoord(AlgoBoyd, 128, 0)
+	d := byCoord(engine.Boyd, 128, 0)
 	if a.netSeed(0) == d.netSeed(0) {
 		t.Fatal("different sizes share a network seed")
 	}
@@ -209,7 +210,7 @@ func TestReadCompletedRoundTripAndTruncation(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewJSONL(&buf)
 	for _, id := range []int{4, 0, 9} {
-		if err := sink.Write(TaskResult{TaskID: id, Algorithm: AlgoBoyd}); err != nil {
+		if err := sink.Write(TaskResult{TaskID: id, Algorithm: engine.Boyd}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -334,7 +335,7 @@ func TestAggregateCellsAndFits(t *testing.T) {
 		for seed := 0; seed < 2; seed++ {
 			results = append(results, TaskResult{
 				TaskID:        len(results),
-				Algorithm:     AlgoBoyd,
+				Algorithm:     engine.Boyd,
 				N:             n,
 				SeedIndex:     seed,
 				Converged:     true,
@@ -344,7 +345,7 @@ func TestAggregateCellsAndFits(t *testing.T) {
 		}
 	}
 	results = append(results, TaskResult{
-		TaskID: len(results), Algorithm: AlgoBoyd, N: 100, SeedIndex: 2,
+		TaskID: len(results), Algorithm: engine.Boyd, N: 100, SeedIndex: 2,
 		Error: "no connected instance",
 	})
 	sum := Aggregate(results)
@@ -380,7 +381,7 @@ func TestExecuteReportsUnusableCell(t *testing.T) {
 	// Sub-threshold radius: no connected instance exists, the task must
 	// fail gracefully rather than hang or panic.
 	task := Task{
-		Algorithm:        AlgoBoyd,
+		Algorithm:        engine.Boyd,
 		N:                512,
 		RadiusMultiplier: 0.2,
 		TargetErr:        1e-2,
@@ -435,7 +436,7 @@ func TestRunBuildWorkersInvariance(t *testing.T) {
 // the resume "different spec" check like every other run-level knob.
 func TestAsyncBudgetOverrides(t *testing.T) {
 	base := Spec{
-		Algorithms:       []string{AlgoAsync},
+		Algorithms:       []string{engine.Async},
 		Ns:               []int{128},
 		TargetErr:        5e-2,
 		RadiusMultiplier: 2.2,

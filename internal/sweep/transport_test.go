@@ -2,13 +2,14 @@ package sweep
 
 import (
 	"context"
+	"geogossip/internal/engine"
 	"strings"
 	"testing"
 )
 
 func TestTransportAxisExpansion(t *testing.T) {
 	spec := Spec{
-		Algorithms: []string{AlgoBoyd, AlgoPushSum},
+		Algorithms: []string{engine.Boyd, engine.PushSum},
 		Ns:         []int{64},
 		Transports: []string{"", "arq:2/1/2", "delay:exp/0.5"},
 	}
@@ -26,7 +27,7 @@ func TestTransportAxisExpansion(t *testing.T) {
 
 func TestTransportAxisCanonicalization(t *testing.T) {
 	spec := Spec{
-		Algorithms: []string{AlgoBoyd},
+		Algorithms: []string{engine.Boyd},
 		Ns:         []int{64},
 		Transports: []string{"perfect", "arq:2/1.0/2", "delay:fixed/.5"},
 	}
@@ -41,7 +42,7 @@ func TestTransportAxisCanonicalization(t *testing.T) {
 		}
 	}
 	// An omitted axis defaults to the single transport-free entry.
-	bare := Spec{Algorithms: []string{AlgoBoyd}, Ns: []int{64}}.Normalized()
+	bare := Spec{Algorithms: []string{engine.Boyd}, Ns: []int{64}}.Normalized()
 	if len(bare.Transports) != 1 || bare.Transports[0] != "" {
 		t.Fatalf("defaulted transports %v, want [\"\"]", bare.Transports)
 	}
@@ -51,7 +52,7 @@ func TestTransportAxisCanonicalization(t *testing.T) {
 // run seed, so grids without the axis keep their derived seeds — and
 // their results — unchanged; non-empty transports get distinct seeds.
 func TestTransportSeedBackCompat(t *testing.T) {
-	base := Task{Algorithm: AlgoBoyd, N: 128, BaseSeed: 1, FaultModel: "bernoulli:0.1"}
+	base := Task{Algorithm: engine.Boyd, N: 128, BaseSeed: 1, FaultModel: "bernoulli:0.1"}
 	withARQ := base
 	withARQ.Transport = "arq:2/1/2"
 	if base.runSeed() == withARQ.runSeed() {
@@ -66,7 +67,7 @@ func TestTransportSeedBackCompat(t *testing.T) {
 
 func TestTransportAxisValidation(t *testing.T) {
 	lossy := Spec{
-		Algorithms: []string{AlgoBoyd},
+		Algorithms: []string{engine.Boyd},
 		Ns:         []int{64},
 		Transports: []string{"bernoulli:0.2"},
 	}
@@ -75,7 +76,7 @@ func TestTransportAxisValidation(t *testing.T) {
 		t.Fatal("loss model accepted on the transport axis")
 	}
 	crossed := Spec{
-		Algorithms:  []string{AlgoBoyd},
+		Algorithms:  []string{engine.Boyd},
 		Ns:          []int{64},
 		FaultModels: []string{"ge:0.05/0.2/0.01/0.6+arq:2/1/2"},
 		Transports:  []string{"", "delay:exp/0.5"},
@@ -91,13 +92,13 @@ func TestTransportAxisValidation(t *testing.T) {
 	// may carry transport components when the axis is absent.
 	for _, good := range []Spec{
 		{
-			Algorithms:  []string{AlgoBoyd},
+			Algorithms:  []string{engine.Boyd},
 			Ns:          []int{64},
 			FaultModels: []string{"", "ge:0.05/0.2/0.01/0.6"},
 			Transports:  []string{"", "delay:exp/0.5+arq:2/1/2"},
 		},
 		{
-			Algorithms:  []string{AlgoBoyd},
+			Algorithms:  []string{engine.Boyd},
 			Ns:          []int{64},
 			FaultModels: []string{"bernoulli:0.1+arq:2/1/2"},
 		},
@@ -110,7 +111,7 @@ func TestTransportAxisValidation(t *testing.T) {
 
 func TestTransportExecuteEndToEnd(t *testing.T) {
 	spec := Spec{
-		Algorithms:  []string{AlgoBoyd, AlgoAffine},
+		Algorithms:  []string{engine.Boyd, engine.Affine},
 		Ns:          []int{64},
 		TargetErr:   5e-2,
 		FaultModels: []string{"bernoulli:0.1"},
@@ -184,7 +185,7 @@ func TestTransportExecuteEndToEnd(t *testing.T) {
 // merge.
 func TestResumeDetectsTransportMismatch(t *testing.T) {
 	spec := Spec{
-		Algorithms: []string{AlgoBoyd},
+		Algorithms: []string{engine.Boyd},
 		Ns:         []int{64},
 		TargetErr:  5e-2,
 		Transports: []string{"arq:2/1/2"},
@@ -192,7 +193,7 @@ func TestResumeDetectsTransportMismatch(t *testing.T) {
 	tasks := spec.Normalized().Expand()
 	prior := TaskResult{
 		TaskID:           0,
-		Algorithm:        AlgoBoyd,
+		Algorithm:        engine.Boyd,
 		N:                64,
 		Transport:        "arq:9/1/2", // disagrees with the grid
 		TargetErr:        tasks[0].TargetErr,

@@ -6,7 +6,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
 	"sync"
 )
 
@@ -174,35 +173,6 @@ func (b *Buffer) Count(k Kind) uint64 {
 }
 
 var _ Tracer = (*Buffer)(nil)
-
-// Writer streams formatted events to an io.Writer, optionally filtered
-// to a set of kinds (empty filter = all).
-type Writer struct {
-	W      io.Writer
-	Filter []Kind
-	seq    uint64
-}
-
-// Record implements Tracer.
-func (w *Writer) Record(e Event) {
-	if len(w.Filter) > 0 {
-		keep := false
-		for _, k := range w.Filter {
-			if e.Kind == k {
-				keep = true
-				break
-			}
-		}
-		if !keep {
-			return
-		}
-	}
-	w.seq++
-	e.Seq = w.seq
-	fmt.Fprintln(w.W, e.String())
-}
-
-var _ Tracer = (*Writer)(nil)
 
 // Multi fans events out to several tracers.
 func Multi(tracers ...Tracer) Tracer {

@@ -60,31 +60,6 @@ func TestBufferCountInvalidKind(t *testing.T) {
 	}
 }
 
-func TestWriterFilters(t *testing.T) {
-	var sb strings.Builder
-	w := &Writer{W: &sb, Filter: []Kind{KindFar}}
-	w.Record(Event{Kind: KindNear, NodeA: 1, NodeB: 2})
-	w.Record(Event{Kind: KindFar, NodeA: 3, NodeB: 4, Hops: 7, Square: 5})
-	out := sb.String()
-	if strings.Contains(out, "near") {
-		t.Fatalf("filter leaked: %q", out)
-	}
-	if !strings.Contains(out, "far") || !strings.Contains(out, "square=5") {
-		t.Fatalf("missing far event: %q", out)
-	}
-}
-
-func TestWriterNoFilterPassesAll(t *testing.T) {
-	var sb strings.Builder
-	w := &Writer{W: &sb}
-	w.Record(Event{Kind: KindActivate})
-	w.Record(Event{Kind: KindDeactivate})
-	lines := strings.Count(sb.String(), "\n")
-	if lines != 2 {
-		t.Fatalf("wrote %d lines", lines)
-	}
-}
-
 func TestMulti(t *testing.T) {
 	a := NewBuffer(4)
 	b := NewBuffer(4)

@@ -1,8 +1,10 @@
 package geogossip
 
 import (
+	"io"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"geogossip/internal/rng"
@@ -110,6 +112,66 @@ func TestWithParallelRejections(t *testing.T) {
 	for _, tc := range cases {
 		if _, err := tc.algo.Run(nw, values); err == nil {
 			t.Fatalf("%s accepted WithParallel", tc.name)
+		}
+	}
+}
+
+// TestWithParallelErrorsNameOptions pins the facade's WithParallel
+// errors: each names the public options that conflict, never an engine's
+// internal fields, and the combinations an engine ignores still run.
+func TestWithParallelErrorsNameOptions(t *testing.T) {
+	nw, err := NewNetwork(128, WithSeed(24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	par := WithParallel(2, 1)
+	cases := []struct {
+		name string
+		algo Algorithm
+		want []string // substrings of the error; nil means the run succeeds
+	}{
+		{"geographic", Geographic(par), []string{"geographic"}},
+		{"affine-hierarchical", AffineHierarchical(par), []string{"affine-hierarchical"}},
+		{"async without recovery", AffineAsync(par), []string{"WithRecovery"}},
+		{"boyd with recovery", Boyd(par, WithRecovery()), []string{"WithRecovery"}},
+		{"boyd with trace", Boyd(par, WithTraceJSONL(io.Discard, 0)), []string{"WithTraceJSONL"}},
+		{"push-sum with delay", PushSum(par, WithDelay("fixed/1")), []string{"WithDelay"}},
+		{"push-sum with arq", PushSum(par, WithARQ(2, 1, 2)), []string{"WithARQ"}},
+		{"boyd with loss", Boyd(par, WithLossRate(0.1)), []string{"WithLossRate"}},
+		{"push-sum with churn", PushSum(par, WithChurn(1000, 100)), []string{"WithChurn"}},
+		{"push-sum with recovery", PushSum(par, WithRecovery(), WithTargetError(0.1)), nil},
+		{"async with recovery", AffineAsync(par, WithRecovery(), WithTargetError(0.1)), nil},
+	}
+	for _, tc := range cases {
+		values := make([]float64, nw.N())
+		for i := range values {
+			values[i] = float64(i % 7)
+		}
+		_, err := tc.algo.Run(nw, values)
+		if tc.want == nil {
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: accepted WithParallel", tc.name)
+			continue
+		}
+		msg := err.Error()
+		if !strings.HasPrefix(msg, "geogossip: WithParallel") {
+			t.Errorf("%s: error %q does not name WithParallel", tc.name, msg)
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(msg, w) {
+				t.Errorf("%s: error %q does not name %s", tc.name, msg, w)
+			}
+		}
+		rest := strings.TrimPrefix(msg, "geogossip: ")
+		for _, internal := range []string{"Options", "Resync", "Recover ", "Tracer", "gossip:", "core:"} {
+			if strings.Contains(rest, internal) {
+				t.Errorf("%s: error %q names internal %q", tc.name, msg, internal)
+			}
 		}
 	}
 }
